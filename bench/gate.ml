@@ -223,8 +223,7 @@ let compare_runs ?(threshold = 0.05) ~(a : run) ~(b : run) () =
     Error
       (Printf.sprintf
          "schema mismatch: the gate compares %S reports only, got %S vs %S \
-          (regenerate the older report with `dune exec bench/main.exe -- \
-          timings` or `spf_bench --record`)"
+          (regenerate the older report with `spf_bench --record`)"
          expected a.schema b.schema)
   else begin
     let index cells =

@@ -1,17 +1,16 @@
 (* Reproduction harness: regenerates every table and figure of the paper's
    evaluation (see DESIGN.md section 4 for the experiment index), plus an
-   ablation sweep, per-cell wall-clock timings and bechamel microbenchmarks
-   of the compiler machinery.
+   ablation sweep and bechamel microbenchmarks of the compiler machinery.
+   The hot-path baseline BENCH_hotpath.json is recorded by spf_bench
+   --record, never by this program.
 
    Usage: dune exec bench/main.exe [-- flags] [experiment ...]
    Experiments: table1 table2 table3 fig34 fig5 fig6 fig7 fig8 fig9 fig10
-   fig11 ablation timings micro; default is all of them in paper order.
+   fig11 ablation micro; default is all of them in paper order.
 
    Flags:
      --jobs N     size of the Domain pool for the simulation matrix
                   (default: Domain.recommended_domain_count ())
-     --json PATH  where [timings] writes its report
-                  (default: BENCH_hotpath.json)
      --smoke      reduced bechamel quota for [micro] (used by dune runtest)
 
    All simulation cells needed by the requested experiments are collected
@@ -55,9 +54,6 @@ let key_of (c : Runner.cell) : key =
 
 let cache : (key, Runner.timed) Hashtbl.t = Hashtbl.create 64
 
-(* Wall-clock of the parallel prefill, for the timings report. *)
-let matrix_wall_seconds = ref 0.0
-
 let prefill ~jobs cells =
   let todo =
     List.filter (fun c -> not (Hashtbl.mem cache (key_of c))) cells
@@ -78,14 +74,12 @@ let prefill ~jobs cells =
   if todo <> [] then begin
     Printf.eprintf "[bench] running %d simulation cells on %d domain(s)...\n%!"
       (List.length todo) jobs;
-    let t0 = Unix.gettimeofday () in
     let timed =
       Runner.run_matrix ~jobs
         ~progress:(fun c ->
           Printf.eprintf "[bench]   %s\n%!" (Runner.cell_label c))
         todo
     in
-    matrix_wall_seconds := !matrix_wall_seconds +. Unix.gettimeofday () -. t0;
     List.iter (fun (t : Runner.timed) -> Hashtbl.replace cache (key_of t.cell) t)
       timed
   end
@@ -370,34 +364,6 @@ let ablation () =
     majorities
 
 (* ------------------------------------------------------------------ *)
-(* Timings: per-cell host wall-clock of the canonical matrix, written as
-   BENCH_hotpath.json (schema bench_hotpath/v2) for the regression gate.
-   The matrix and the JSON writer live in Bench_runner.Report, shared
-   with the spf_bench recorder. *)
-
-let timings ~jobs ~json_path () =
-  heading "Timings: per-cell host wall-clock (hot-path benchmark)";
-  let cells = Bench_runner.Report.default_cells () in
-  let timed = List.map timed_of_cell cells in
-  let total_cell_seconds =
-    List.fold_left (fun acc (t : Runner.timed) -> acc +. t.seconds) 0.0 timed
-  in
-  Printf.printf "%-40s %10s %14s\n" "cell" "seconds" "cycles";
-  List.iter
-    (fun (t : Runner.timed) ->
-      Printf.printf "%-40s %10.3f %14d\n"
-        (Runner.cell_label t.cell)
-        t.seconds t.result.H.cycles)
-    timed;
-  Printf.printf "\nTotal cell seconds: %.3f (matrix wall-clock %.3f on %d \
-                 job(s), %d host cpu(s))\n"
-    total_cell_seconds !matrix_wall_seconds jobs
-    (Runner.default_jobs ());
-  Bench_runner.Report.write_json ~path:json_path ~jobs
-    ~matrix_wall_seconds:!matrix_wall_seconds timed;
-  Printf.printf "Wrote %s\n" json_path
-
-(* ------------------------------------------------------------------ *)
 (* Bechamel microbenchmarks of the compiler-side machinery. *)
 
 let micro ~smoke () =
@@ -558,24 +524,22 @@ let needs = function
       matrix_cells ~machines:[ Memsim.Config.pentium4 ]
         ~modes:[ SP.Options.Inter_intra ]
   | "ablation" -> ablation_cells ()
-  | "timings" -> Bench_runner.Report.default_cells ()
   | _ -> []
 
 let experiment_names =
   [
     "table1"; "table2"; "table3"; "fig34"; "fig5"; "fig6"; "fig7"; "fig8";
-    "fig9"; "fig10"; "fig11"; "ablation"; "timings"; "micro";
+    "fig9"; "fig10"; "fig11"; "ablation"; "micro";
   ]
 
 let usage () =
   Printf.eprintf
-    "usage: main.exe [--jobs N] [--json PATH] [--smoke] [experiment ...]\n\
+    "usage: main.exe [--jobs N] [--smoke] [experiment ...]\n\
      experiments: %s\n"
     (String.concat ", " experiment_names)
 
 let () =
   let jobs = ref (Runner.default_jobs ()) in
-  let json_path = ref "BENCH_hotpath.json" in
   let smoke = ref false in
   let names = ref [] in
   let rec parse = function
@@ -586,9 +550,6 @@ let () =
         | _ ->
             Printf.eprintf "--jobs expects a positive integer, got '%s'\n" n;
             exit 2);
-        parse rest
-    | "--json" :: path :: rest ->
-        json_path := path;
         parse rest
     | "--smoke" :: rest ->
         smoke := true;
@@ -623,7 +584,6 @@ let () =
     | "fig10" -> fig10 ()
     | "fig11" -> fig11 ()
     | "ablation" -> ablation ()
-    | "timings" -> timings ~jobs:!jobs ~json_path:!json_path ()
     | "micro" -> micro ~smoke:!smoke ()
     | name ->
         Printf.eprintf "unknown experiment '%s'\n" name;

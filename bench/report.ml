@@ -1,8 +1,7 @@
 (* The hot-path benchmark report: the canonical cell matrix and the
-   bench_hotpath/v2 JSON serialization, shared by the reproduction
-   harness (bench/main.exe timings) and the regression-gate recorder
-   (bench/spf_bench.exe --record). Keeping one writer guarantees both
-   producers emit byte-compatible reports for Gate.compare_runs. *)
+   bench_hotpath/v2 JSON serialization used by the regression-gate
+   recorder (bench/spf_bench.exe --record), the only producer of
+   BENCH_hotpath.json. *)
 
 module SP = Strideprefetch
 module W = Workloads.Workload

@@ -1,7 +1,6 @@
 (** The hot-path benchmark report: canonical cell matrix and the
-    bench_hotpath/v2 JSON serialization, shared by the reproduction
-    harness ([bench/main.exe timings]) and the regression-gate recorder
-    ([bench/spf_bench.exe --record]). *)
+    bench_hotpath/v2 JSON serialization used by the regression-gate
+    recorder ([bench/spf_bench.exe --record]). *)
 
 val schema : string
 (** ["bench_hotpath/v2"]. v2 adds the per-cell ["profile"] flag (and so

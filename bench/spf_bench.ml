@@ -102,6 +102,8 @@ let blame_config (c : Gate.cell_rec) =
     c_prediction = Option.value ~default:"inspect" c.prediction;
     c_threshold = c.sw_threshold;
     c_passes = true;
+    c_phased = false;
+    c_interproc = false;
   }
 
 let rundata_of_cell name (c : Gate.cell_rec) =

@@ -9,6 +9,8 @@ type config = {
   hw : C.hw_prefetch_model option;
   prediction : O.prediction_tier;
   threshold : int option;
+  phased : bool;
+  interproc : bool;
 }
 
 let default_config =
@@ -20,6 +22,8 @@ let default_config =
     hw = None;
     prediction = O.Inspect;
     threshold = None;
+    phased = false;
+    interproc = false;
   }
 
 let machine_of c =
@@ -27,12 +31,31 @@ let machine_of c =
   | None -> c.machine
   | Some hw -> { c.machine with C.hw_prefetch = hw }
 
-type axis = Mode | Machine | Hw | Threshold | Prediction | Passes | Engine
+let options c =
+  {
+    O.default with
+    O.prediction = c.prediction;
+    inter_stride_threshold = c.threshold;
+    enable_phased = c.phased;
+    inspect_calls = c.interproc;
+  }
+
+type axis =
+  | Mode
+  | Machine
+  | Hw
+  | Threshold
+  | Prediction
+  | Phased
+  | Interproc
+  | Passes
+  | Engine
 
 (* Cycle-moving axes first; the engine is simulation-neutral by
    construction (bit-identical cycles on both engines, fuzz-enforced),
    so probing it last lets the early stop skip it entirely. *)
-let all_axes = [ Mode; Machine; Hw; Threshold; Prediction; Passes; Engine ]
+let all_axes =
+  [ Mode; Machine; Hw; Threshold; Prediction; Phased; Interproc; Passes; Engine ]
 
 let axis_name = function
   | Mode -> "mode"
@@ -40,6 +63,8 @@ let axis_name = function
   | Hw -> "hw"
   | Threshold -> "threshold"
   | Prediction -> "prediction"
+  | Phased -> "phased"
+  | Interproc -> "interprocedural"
   | Passes -> "passes"
   | Engine -> "engine"
 
@@ -50,11 +75,14 @@ let axis_of_name s =
   | "hw" | "hw-prefetch" -> Some Hw
   | "threshold" -> Some Threshold
   | "prediction" -> Some Prediction
+  | "phased" -> Some Phased
+  | "interprocedural" | "interproc" -> Some Interproc
   | "passes" -> Some Passes
   | "engine" -> Some Engine
   | _ -> None
 
 let resolved_hw c = (machine_of c).C.hw_prefetch
+let on_off b = if b then "on" else "off"
 
 let axis_value c = function
   | Mode -> O.mode_name c.mode
@@ -63,7 +91,9 @@ let axis_value c = function
   | Threshold -> (
       match c.threshold with None -> "default" | Some n -> string_of_int n)
   | Prediction -> O.prediction_name c.prediction
-  | Passes -> if c.passes then "on" else "off"
+  | Phased -> on_off c.phased
+  | Interproc -> on_off c.interproc
+  | Passes -> on_off c.passes
   | Engine -> Vm.Interp.engine_name c.engine
 
 let axis_differs a b ax = axis_value a ax <> axis_value b ax
@@ -79,10 +109,18 @@ let transplant ax ~src dst =
   | Hw -> { dst with hw = Some (resolved_hw src) }
   | Threshold -> { dst with threshold = src.threshold }
   | Prediction -> { dst with prediction = src.prediction }
+  | Phased -> { dst with phased = src.phased }
+  | Interproc -> { dst with interproc = src.interproc }
   | Passes -> { dst with passes = src.passes }
   | Engine -> { dst with engine = src.engine }
 
 (* --vs override parsing ------------------------------------------------ *)
+
+let bool key v =
+  match String.lowercase_ascii v with
+  | "on" | "true" -> Ok true
+  | "off" | "false" -> Ok false
+  | _ -> Error (Printf.sprintf "bad %s value %S (on/off)" key v)
 
 let parse_one c kv =
   match String.index_opt kv '=' with
@@ -95,13 +133,8 @@ let parse_one c kv =
           match C.machine_of_name v with
           | Some m -> Ok { c with machine = m }
           | None -> Error (Printf.sprintf "unknown machine %S" v))
-      | "mode" | "p" -> (
-          match String.lowercase_ascii v with
-          | "off" | "baseline" -> Ok { c with mode = O.Off }
-          | "inter" -> Ok { c with mode = O.Inter }
-          | "inter+intra" | "inter_intra" | "interintra" ->
-              Ok { c with mode = O.Inter_intra }
-          | _ -> Error (Printf.sprintf "unknown mode %S" v))
+      | "mode" | "p" ->
+          Result.map (fun mode -> { c with mode }) (O.mode_of_string v)
       | "engine" -> (
           match Vm.Interp.engine_of_string (String.lowercase_ascii v) with
           | Some e -> Ok { c with engine = e }
@@ -121,16 +154,15 @@ let parse_one c kv =
               match int_of_string_opt v with
               | Some n -> Ok { c with threshold = Some n }
               | None -> Error (Printf.sprintf "bad threshold %S" v)))
-      | "passes" -> (
-          match String.lowercase_ascii v with
-          | "on" | "true" -> Ok { c with passes = true }
-          | "off" | "false" -> Ok { c with passes = false }
-          | _ -> Error (Printf.sprintf "bad passes value %S (on/off)" v))
+      | "phased" -> Result.map (fun phased -> { c with phased }) (bool key v)
+      | "interprocedural" | "interproc" ->
+          Result.map (fun interproc -> { c with interproc }) (bool key v)
+      | "passes" -> Result.map (fun passes -> { c with passes }) (bool key v)
       | _ ->
           Error
             (Printf.sprintf
-               "unknown axis %S (machine, mode, engine, hw, prediction, \
-                threshold, passes)"
+               "unknown axis %S (machine, mode, engine, hw-prefetch, \
+                prediction, threshold, phased, interprocedural, passes)"
                key))
 
 let apply_overrides c spec =
@@ -154,6 +186,8 @@ let config_strings ~workload c =
     c_prediction = O.prediction_name c.prediction;
     c_threshold = c.threshold;
     c_passes = c.passes;
+    c_phased = c.phased;
+    c_interproc = c.interproc;
   }
 
 (* Bisection ----------------------------------------------------------- *)

@@ -11,8 +11,8 @@
     planted single-axis regression is therefore isolated in at most
     [2 + position] replays — 3 when the responsible axis sorts first,
     which the canonical order arranges by putting cycle-moving axes
-    (mode, machine, hw, threshold, prediction, passes) before the
-    cycle-neutral engine axis. When no single flip explains the delta,
+    (mode, machine, hw, threshold, prediction, phased,
+    interprocedural, passes) before the cycle-neutral engine axis. When no single flip explains the delta,
     the axes that individually moved cycles are verified jointly. *)
 
 type config = {
@@ -24,16 +24,32 @@ type config = {
       (** [None]: the machine's own model *)
   prediction : Strideprefetch.Options.prediction_tier;
   threshold : int option;  (** inter-stride threshold override *)
+  phased : bool;  (** Wu-style phased multiple-stride loads *)
+  interproc : bool;  (** object inspection steps into callees *)
 }
 
 val default_config : config
 (** pentium4, inter+intra, closure, passes on, machine-default hardware
-    prefetcher, inspect tier, paper-default threshold. *)
+    prefetcher, inspect tier, paper-default threshold, phased and
+    interprocedural inspection off. *)
 
 val machine_of : config -> Memsim.Config.machine
 (** The machine with the [hw] override applied — what a replay runs on. *)
 
-type axis = Mode | Machine | Hw | Threshold | Prediction | Passes | Engine
+val options : config -> Strideprefetch.Options.t
+(** {!Strideprefetch.Options.default} with the config's prediction tier,
+    threshold, phased and interprocedural axes applied. *)
+
+type axis =
+  | Mode
+  | Machine
+  | Hw
+  | Threshold
+  | Prediction
+  | Phased
+  | Interproc
+  | Passes
+  | Engine
 
 val all_axes : axis list
 (** Canonical probe order (cycle-moving first, engine last). *)
@@ -52,9 +68,10 @@ val differing : a:config -> b:config -> axis list
 
 val apply_overrides : config -> string -> (config, string) result
 (** Parse a [--vs] override list — comma-separated [key=value] with keys
-    [machine]/[mode]/[engine]/[hw]/[prediction]/[threshold]/[passes] —
-    onto a base config. [threshold] accepts an integer or [default];
-    [passes] accepts [on]/[off]. *)
+    [machine]/[mode]/[engine]/[hw-prefetch]/[prediction]/[threshold]/
+    [phased]/[interprocedural]/[passes] — onto a base config.
+    [threshold] accepts an integer or [default]; [phased],
+    [interprocedural] and [passes] accept [on]/[off]. *)
 
 val config_strings : workload:string -> config -> Rundata.config
 (** The {!Rundata.config} stamp of a snapshot made under this config. *)

@@ -191,10 +191,10 @@ let prov_deltas (a : Rundata.t) (b : Rundata.t) =
     |> List.sort (fun x y ->
            compare (x.pd_method, x.pd_loop) (y.pd_method, y.pd_loop))
 
-let build ?(fault_desync = false) ~(a : Rundata.t) ~(b : Rundata.t) () =
+let build ?(faults = Vm.Fault.none) ~(a : Rundata.t) ~(b : Rundata.t) () =
   let loops = loop_deltas a b in
   let loops =
-    if not fault_desync then loops
+    if not (Vm.Fault.mem Vm.Fault.Diff_desync faults) then loops
     else
       (* The injected self-test fault: desynchronize the join by a single
          cycle on the first loop, breaking the conservation law. *)
@@ -245,6 +245,8 @@ let config_line (c : Rundata.config) =
     c.c_machine c.c_mode c.c_engine c.c_hw c.c_prediction
     (match c.c_threshold with None -> "default" | Some n -> string_of_int n)
     (if c.c_passes then "on" else "off")
+  ^ (if c.c_phased then " phased=on" else "")
+  ^ if c.c_interproc then " interprocedural=on" else ""
 
 let render ?(top = 10) t =
   let buf = Buffer.create 4096 in

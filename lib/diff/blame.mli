@@ -61,11 +61,11 @@ type t = {
           side carries no provenance *)
 }
 
-val build : ?fault_desync:bool -> a:Rundata.t -> b:Rundata.t -> unit -> t
-(** Join the two snapshots. [fault_desync] (default [false]) injects the
-    self-test fault: one loop's delta is perturbed by a cycle after the
-    join, so {!check} must report a breach — proving the conservation
-    check can actually fail. Never enable outside [--inject diff-desync]. *)
+val build : ?faults:Vm.Fault.set -> a:Rundata.t -> b:Rundata.t -> unit -> t
+(** Join the two snapshots. The [Diff_desync] fault in [faults] (default
+    none) perturbs one loop's delta by a cycle after the join, so
+    {!check} must report a breach — proving the conservation check can
+    actually fail. *)
 
 val check : t -> string option
 (** The conservation law above; [None] when it holds exactly. *)

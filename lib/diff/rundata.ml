@@ -10,6 +10,8 @@ type config = {
   c_prediction : string;
   c_threshold : int option;
   c_passes : bool;
+  c_phased : bool;
+  c_interproc : bool;
 }
 
 let unknown_config =
@@ -22,6 +24,8 @@ let unknown_config =
     c_prediction = "?";
     c_threshold = None;
     c_passes = true;
+    c_phased = false;
+    c_interproc = false;
   }
 
 type loop = {
@@ -213,6 +217,8 @@ let to_json t =
         ( "threshold",
           match c.c_threshold with None -> J.Null | Some n -> J.Int n );
         ("passes", J.Bool c.c_passes);
+        ("phased", J.Bool c.c_phased);
+        ("interprocedural", J.Bool c.c_interproc);
       ]
   in
   let loop_json l =
@@ -334,6 +340,8 @@ let config_of_json v =
     c_threshold =
       (match J.member "threshold" v with Some (J.Int i) -> Some i | _ -> None);
     c_passes = mem_bool ~default:true "passes" v;
+    c_phased = mem_bool ~default:false "phased" v;
+    c_interproc = mem_bool ~default:false "interprocedural" v;
   }
 
 let attribution_of_json v =

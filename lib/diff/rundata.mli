@@ -6,7 +6,7 @@
 
     A snapshot comes from three places — a live profiled
     {!Workloads.Harness} run ({!of_run}), a recorded ["spf_diff/v1"]
-    snapshot, or a plain ["spf_prof/v1"] report written by [spf_prof]
+    snapshot, or a plain ["spf_prof/v1"] report written by [spf run --json]
     (both via {!of_json}; the latter carries no config, attribution or
     provenance, and the corresponding blame sections are skipped). *)
 
@@ -19,6 +19,8 @@ type config = {
   c_prediction : string;
   c_threshold : int option;
   c_passes : bool;  (** standard JIT passes enabled *)
+  c_phased : bool;
+  c_interproc : bool;  (** interprocedural object inspection *)
 }
 
 val unknown_config : config

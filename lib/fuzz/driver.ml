@@ -3,7 +3,7 @@
 
    Program [i] of a campaign with seed [s] is generated from the derived
    seed [s + i] (Gen applies a splitmix64 scramble internally), so
-   [spf_fuzz --seed (s + i) --count 1] replays exactly that program. *)
+   [spf fuzz --seed (s + i) --count 1] replays exactly that program. *)
 
 type finding = {
   seed : int;  (** the derived per-program seed: campaign seed + index *)
@@ -72,32 +72,27 @@ let same_class (a : Oracle.failure) (b : Oracle.failure) =
       true
   | _ -> false
 
-let check_seed ?cells ?tweak_options ?tweak_prefetch ~seed ~max_size () =
+let check_seed ?cells ?faults ~seed ~max_size () =
   let g = Gen.generate ~seed ~max_size in
   let verdict =
-    Oracle.check ?cells ?tweak_options ?tweak_prefetch ~source:(Gen.source g)
+    Oracle.check ?cells ?faults ~source:(Gen.source g)
       ~heap_limit_bytes:g.Gen.heap_limit_bytes ()
   in
   (g, verdict)
 
-let shrink_finding ?cells ?tweak_options ?tweak_prefetch ?max_attempts
-    ~heap_limit_bytes
+let shrink_finding ?cells ?faults ?max_attempts ~heap_limit_bytes
     ~(failure : Oracle.failure) program =
   (* A candidate counts as "still failing" only if it fails in the same
      class: shrinking an output divergence must not wander off into some
      unrelated compile error of a mangled candidate. *)
   let is_failing source =
-    match
-      Oracle.check ?cells ?tweak_options ?tweak_prefetch ~source
-        ~heap_limit_bytes ()
-    with
+    match Oracle.check ?cells ?faults ~source ~heap_limit_bytes () with
     | Oracle.Pass _ -> false
     | Oracle.Fail f -> same_class f failure
   in
   Shrink.run ?max_attempts ~is_failing program
 
-let run ?cells ?tweak_options ?tweak_prefetch ?(shrink = true)
-    ?shrink_attempts
+let run ?cells ?faults ?(shrink = true) ?shrink_attempts
     ?(progress = fun ~index:_ ~seed:_ -> ()) ~campaign_seed ~count ~max_size
     () =
   (* Matrix cells plus the appended cross-checks: the plain-vs-
@@ -114,17 +109,14 @@ let run ?cells ?tweak_options ?tweak_prefetch ?(shrink = true)
   for index = 0 to count - 1 do
     let seed = campaign_seed + index in
     progress ~index ~seed;
-    let g, verdict =
-      check_seed ?cells ?tweak_options ?tweak_prefetch ~seed ~max_size ()
-    in
+    let g, verdict = check_seed ?cells ?faults ~seed ~max_size () in
     match verdict with
     | Oracle.Pass _ -> ()
     | Oracle.Fail failure ->
         let shrunk =
           if shrink then
             Some
-              (shrink_finding ?cells ?tweak_options ?tweak_prefetch
-                 ?max_attempts:shrink_attempts
+              (shrink_finding ?cells ?faults ?max_attempts:shrink_attempts
                  ~heap_limit_bytes:g.Gen.heap_limit_bytes ~failure
                  g.Gen.program)
           else None
@@ -142,7 +134,7 @@ let run ?cells ?tweak_options ?tweak_prefetch ?(shrink = true)
 
 let pp_finding ppf (f : finding) =
   Format.fprintf ppf
-    "@[<v>== FAILURE (replay: spf_fuzz --seed %d --count 1) ==@,%s@,@,\
+    "@[<v>== FAILURE (replay: spf fuzz --seed %d --count 1) ==@,%s@,@,\
      -- program (seed %d, index %d) --@,%s@]"
     f.seed
     (Oracle.describe f.failure)

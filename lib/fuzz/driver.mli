@@ -2,7 +2,7 @@
 
     Seed protocol: program [i] of a campaign with seed [s] is generated
     from derived seed [s + i], so
-    [spf_fuzz --seed (s + i) --count 1] replays program [i] exactly. *)
+    [spf fuzz --seed (s + i) --count 1] replays program [i] exactly. *)
 
 type finding = {
   seed : int;  (** derived per-program seed: campaign seed + index *)
@@ -21,8 +21,7 @@ type campaign = {
 
 val check_seed :
   ?cells:Oracle.cell list ->
-  ?tweak_options:(Vm.Interp.options -> Vm.Interp.options) ->
-  ?tweak_prefetch:(Strideprefetch.Options.t -> Strideprefetch.Options.t) ->
+  ?faults:Vm.Fault.set ->
   seed:int ->
   max_size:int ->
   unit ->
@@ -31,8 +30,7 @@ val check_seed :
 
 val run :
   ?cells:Oracle.cell list ->
-  ?tweak_options:(Vm.Interp.options -> Vm.Interp.options) ->
-  ?tweak_prefetch:(Strideprefetch.Options.t -> Strideprefetch.Options.t) ->
+  ?faults:Vm.Fault.set ->
   ?shrink:bool ->
   ?shrink_attempts:int ->
   ?progress:(index:int -> seed:int -> unit) ->

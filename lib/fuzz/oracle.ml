@@ -225,6 +225,8 @@ let lint_failure ~opts (cell : cell) (r : Workloads.Harness.run_result) =
     program.Vm.Classfile.methods;
   !violation
 
+let with_faults faults o = { o with Vm.Interp.faults }
+
 (* Telemetry/profiler-observer cross-check: one fresh cell pair, plain vs
    fully attributed AND profiled, at the headline configuration. The
    observability stack must observe the simulation without participating:
@@ -233,7 +235,7 @@ let lint_failure ~opts (cell : cell) (r : Workloads.Harness.run_result) =
    balance (issued = cancelled + redundant + useful + late + useless),
    and the profiler's cycle bins must sum exactly to the run's cycle
    count (the conservation law of lib/profile). *)
-let telemetry_crosscheck ~opts ?tweak_options workload =
+let telemetry_crosscheck ~opts ~faults workload =
   let cell =
     {
       mode = O.Inter_intra;
@@ -242,8 +244,8 @@ let telemetry_crosscheck ~opts ?tweak_options workload =
     }
   in
   let run ~telemetry ~profile =
-    Workloads.Harness.run ~opts ?tweak_options ~telemetry ~profile
-      ~mode:cell.mode ~machine:cell.machine workload
+    Workloads.Harness.run ~opts ~tweak_options:(with_faults faults)
+      ~telemetry ~profile ~mode:cell.mode ~machine:cell.machine workload
   in
   match
     (run ~telemetry:false ~profile:false, run ~telemetry:true ~profile:true)
@@ -324,6 +326,8 @@ let telemetry_crosscheck ~opts ?tweak_options workload =
                                 O.prediction_name opts.O.prediction;
                               c_threshold = opts.O.inter_stride_threshold;
                               c_passes = true;
+                              c_phased = opts.O.enable_phased;
+                              c_interproc = opts.O.inspect_calls;
                             }
                           in
                           (match
@@ -333,7 +337,9 @@ let telemetry_crosscheck ~opts ?tweak_options workload =
                               diff_diverged
                                 ("snapshot of a profiled run failed: " ^ msg)
                           | Ok rd -> (
-                              let bl = Diff.Blame.build ~a:rd ~b:rd () in
+                              let bl =
+                                Diff.Blame.build ~faults ~a:rd ~b:rd ()
+                              in
                               if bl.Diff.Blame.total_delta <> 0 then
                                 diff_diverged
                                   (Printf.sprintf
@@ -370,7 +376,7 @@ let telemetry_crosscheck ~opts ?tweak_options workload =
    lib/vm/engine.ml), so post-crash counters are deliberately not
    comparable — and no stats counter is readable from an aborted run
    anyway. *)
-let engine_crosscheck ~opts ?tweak_options workload =
+let engine_crosscheck ~opts ~faults workload =
   let cell =
     {
       mode = O.Inter_intra;
@@ -380,7 +386,7 @@ let engine_crosscheck ~opts ?tweak_options workload =
   in
   let run engine =
     match
-      Workloads.Harness.run ~opts ?tweak_options ~engine
+      Workloads.Harness.run ~opts ~tweak_options:(with_faults faults) ~engine
         ~capture_observables:true ~mode:cell.mode ~machine:cell.machine
         workload
     with
@@ -454,10 +460,10 @@ let engine_crosscheck ~opts ?tweak_options workload =
    output and the statics-reachable heap graph must be identical across
    the three models — only cycles and memory-system counters may move. A
    model that changes what the program computes (or crashes it) is a
-   co-simulation bug — the class the [fault_hw_desync] self-test
+   co-simulation bug — the class the [Hw_desync] self-test
    injects, invisible to every same-machine check above because the
    default matrix never varies the hardware model. *)
-let hw_crosscheck ~opts ?tweak_options workload =
+let hw_crosscheck ~opts ~faults workload =
   let models =
     [
       Memsim.Config.Hw_none;
@@ -476,8 +482,9 @@ let hw_crosscheck ~opts ?tweak_options workload =
   let run hw =
     let cell = cell_of hw in
     match
-      Workloads.Harness.run ~opts ?tweak_options ~capture_observables:true
-        ~mode:cell.mode ~machine:cell.machine workload
+      Workloads.Harness.run ~opts ~tweak_options:(with_faults faults)
+        ~capture_observables:true ~mode:cell.mode ~machine:cell.machine
+        workload
     with
     | r -> Ok (cell, Memsim.Config.hw_prefetch_to_string hw, r)
     | exception e -> Error (Crash { cell; message = Printexc.to_string e })
@@ -529,12 +536,12 @@ let hw_crosscheck ~opts ?tweak_options workload =
    inspection iterations) — never what the program computes: output and
    the statics-reachable heap graph must match, and no static claim may
    turn into a faulting prefetch address. Per-site disagreement between
-   static claims and inspected strides is a scored metric ([spf_lint
+   static claims and inspected strides is a scored metric ([spf lint
    --predict]), not a failure; divergence here is a crash class — the one
-   the [fault_prediction_desync] self-test injects, invisible to every
+   the [Prediction_desync] self-test injects, invisible to every
    check above because the default matrix never leaves the inspect
    tier. *)
-let prediction_crosscheck ~opts ?tweak_options workload =
+let prediction_crosscheck ~opts ~faults workload =
   let cell =
     {
       mode = O.Inter_intra;
@@ -545,8 +552,9 @@ let prediction_crosscheck ~opts ?tweak_options workload =
   let run tier =
     let opts = { opts with O.prediction = tier } in
     match
-      Workloads.Harness.run ~opts ?tweak_options ~capture_observables:true
-        ~mode:cell.mode ~machine:cell.machine workload
+      Workloads.Harness.run ~opts ~tweak_options:(with_faults faults)
+        ~capture_observables:true ~mode:cell.mode ~machine:cell.machine
+        workload
     with
     | r -> Ok r
     | exception e ->
@@ -597,14 +605,14 @@ let prediction_crosscheck ~opts ?tweak_options workload =
    tiny fuzzed programs close several) against its plain twin. The
    monitor must observe without participating: program output, cycles
    and every core counter bit-identical to the unmonitored run — the
-   class of bug the [fault_monitor_desync] self-test injects (a
+   class of bug the [Monitor_desync] self-test injects (a
    window-boundary fire that charges a cycle), invisible to every check
    above because the default matrix never arms a monitor. And the
    monitor's own books must balance: the per-window stats deltas and
    attribution outcomes must sum back exactly to the end-of-run totals
    (the tail partial window included), else windowing lost or invented
    events. *)
-let monitor_crosscheck ~opts ?tweak_options workload =
+let monitor_crosscheck ~opts ~faults workload =
   let cell =
     {
       mode = O.Inter_intra;
@@ -613,12 +621,12 @@ let monitor_crosscheck ~opts ?tweak_options workload =
     }
   in
   let run_plain () =
-    Workloads.Harness.run ~opts ?tweak_options ~mode:cell.mode
-      ~machine:cell.machine workload
+    Workloads.Harness.run ~opts ~tweak_options:(with_faults faults)
+      ~mode:cell.mode ~machine:cell.machine workload
   in
   let run_monitored () =
-    Workloads.Harness.run ~opts ?tweak_options ~monitor:4096 ~mode:cell.mode
-      ~machine:cell.machine workload
+    Workloads.Harness.run ~opts ~tweak_options:(with_faults faults)
+      ~monitor:4096 ~mode:cell.mode ~machine:cell.machine workload
   in
   match (run_plain (), run_monitored ()) with
   | exception e -> Some (Crash { cell; message = Printexc.to_string e })
@@ -708,7 +716,7 @@ let monitor_crosscheck ~opts ?tweak_options workload =
                                  k s tot)
                         | None -> None)))))
 
-let check ?(cells = default_cells) ?tweak_options ?tweak_prefetch ~source
+let check ?(cells = default_cells) ?(faults = Vm.Fault.none) ~source
     ~heap_limit_bytes () =
   match
     (* Surface front-end failures as their own verdict: the generator is
@@ -721,11 +729,7 @@ let check ?(cells = default_cells) ?tweak_options ?tweak_prefetch ~source
   | Error msg -> Fail (Compile_error msg)
   | Ok () -> (
       let workload = workload_of ~source ~heap_limit_bytes in
-      let opts =
-        match tweak_prefetch with
-        | Some f -> f Strideprefetch.Options.default
-        | None -> Strideprefetch.Options.default
-      in
+      let opts = Strideprefetch.Options.default in
       let run cell =
         let side_effect = ref None in
         let compile_observer ~meth ~before ~after =
@@ -744,8 +748,9 @@ let check ?(cells = default_cells) ?tweak_options ?tweak_prefetch ~source
         in
         match
           Workloads.Harness.run ~opts ~standard_passes:cell.standard_passes
-            ~compile_observer ?tweak_options ~capture_observables:true
-            ~mode:cell.mode ~machine:cell.machine workload
+            ~compile_observer ~tweak_options:(with_faults faults)
+            ~capture_observables:true ~mode:cell.mode ~machine:cell.machine
+            workload
         with
         | exception Jit.Pipeline.Verification_failed
             { pass_name; method_name; message } ->
@@ -805,27 +810,27 @@ let check ?(cells = default_cells) ?tweak_options ?tweak_prefetch ~source
                        engine pair, the hardware-model triple, the
                        prediction-tier triple, then the monitored twin
                        pair. *)
-                    match telemetry_crosscheck ~opts ?tweak_options workload with
+                    match telemetry_crosscheck ~opts ~faults workload with
                     | Some f -> Fail f
                     | None -> (
                         match
-                          engine_crosscheck ~opts ?tweak_options workload
+                          engine_crosscheck ~opts ~faults workload
                         with
                         | Some f -> Fail f
                         | None -> (
                             match
-                              hw_crosscheck ~opts ?tweak_options workload
+                              hw_crosscheck ~opts ~faults workload
                             with
                             | Some f -> Fail f
                             | None -> (
                                 match
-                                  prediction_crosscheck ~opts ?tweak_options
+                                  prediction_crosscheck ~opts ~faults
                                     workload
                                 with
                                 | Some f -> Fail f
                                 | None -> (
                                     match
-                                      monitor_crosscheck ~opts ?tweak_options
+                                      monitor_crosscheck ~opts ~faults
                                         workload
                                     with
                                     | Some f -> Fail f

@@ -73,7 +73,7 @@ type failure =
           faulting prefetch addresses — the tiers may only change when a
           stride is discovered (compile time, inspection iterations).
           Per-site static-vs-inspected disagreement is a scored metric
-          ([spf_lint --predict]), never this failure *)
+          ([spf lint --predict]), never this failure *)
   | Monitor_divergence of { cell : cell; message : string }
       (** the live windowed monitor perturbed the simulation or kept bad
           books: the headline configuration re-run with a 4096-cycle
@@ -97,8 +97,7 @@ val describe : failure -> string
 
 val check :
   ?cells:cell list ->
-  ?tweak_options:(Vm.Interp.options -> Vm.Interp.options) ->
-  ?tweak_prefetch:(Strideprefetch.Options.t -> Strideprefetch.Options.t) ->
+  ?faults:Vm.Fault.set ->
   source:string ->
   heap_limit_bytes:int ->
   unit ->
@@ -125,11 +124,6 @@ val check :
     armed (4096-cycle windows) and must be bit-identical to its plain
     twin, with window books that sum back to the run totals — the
     monitor-crosscheck axis. The three pairs and two triples count 12
-    toward [cells_run]. [tweak_options] edits the
-    interpreter options in every cell — the hook the self-test uses to
-    inject faults (e.g. [unguarded_spec_loads]) and prove the oracle
-    catches them. [tweak_prefetch] likewise edits the prefetch-pass
-    options (each cell's mode still overrides the [mode] field) — e.g.
-    setting [fault_skip_guard_dominance] to prove the lint cell catches
-    a guard-dominance miscompile that is invisible to every differential
-    check. *)
+    toward [cells_run]. [faults] (default none) is injected into every
+    run and into the self-diff — the self-tests use it to prove each
+    check catches the fault aimed at it (see {!Vm.Fault}). *)

@@ -11,7 +11,7 @@ val create : seed:int -> t
 val mix : int -> int
 (** One splitmix64 scrambling step on a raw integer: derives the
     per-program seed from [campaign_seed + program_index] so that
-    [spf_fuzz --seed (campaign_seed + i) --count 1] replays program [i]
+    [spf fuzz --seed (campaign_seed + i) --count 1] replays program [i]
     of a campaign exactly. *)
 
 val int : t -> int -> int

@@ -220,7 +220,7 @@ let plan ~(opts : Options.t) ~(machine : Memsim.Config.machine) ~code ~ldg
    small DTLB, intra-iteration stride prefetches use a guarded load (TLB
    priming); everything else uses the hardware prefetch instruction, which
    the processor cancels on a DTLB miss. *)
-let splice_of_action ?(fault_skip_guard = false) ~guarded action =
+let splice_of_action ?(faults = Vm.Fault.none) ~guarded action =
   match action.kind with
   | Prefetch_direct { distance } ->
       [ B.Prefetch_inter { site = action.anchor_site; distance } ]
@@ -235,7 +235,7 @@ let splice_of_action ?(fault_skip_guard = false) ~guarded action =
               { reg; offset = t.offset; guarded = guarded && t.via_intra })
           targets
       in
-      if fault_skip_guard then
+      if Vm.Fault.mem Vm.Fault.Skip_guard_dominance faults then
         (* injected miscompile: dereferences escape their guard (the
            spec_load lands after them). Runtime-benign — the register
            still holds its initial null, so the indirect prefetches are
@@ -244,7 +244,7 @@ let splice_of_action ?(fault_skip_guard = false) ~guarded action =
         derefs @ [ guard ]
       else guard :: derefs
 
-let apply ?fault_skip_guard ~guarded code plans =
+let apply ?faults ~guarded code plans =
   let n = Array.length code in
   let splices = Array.make n [] in
   List.iter
@@ -254,7 +254,7 @@ let apply ?fault_skip_guard ~guarded code plans =
           if action.anchor_pc >= 0 && action.anchor_pc < n then
             splices.(action.anchor_pc) <-
               splices.(action.anchor_pc)
-              @ splice_of_action ?fault_skip_guard ~guarded action)
+              @ splice_of_action ?faults ~guarded action)
         plan.actions)
     plans;
   let out = ref [] in

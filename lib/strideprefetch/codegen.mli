@@ -57,14 +57,14 @@ val plan :
     share the register space). *)
 
 val splice_of_action :
-  ?fault_skip_guard:bool -> guarded:bool -> action -> Vm.Bytecode.instr list
+  ?faults:Vm.Fault.set -> guarded:bool -> action -> Vm.Bytecode.instr list
 (** The pseudo-instruction sequence one action splices after its anchor.
-    [fault_skip_guard] (default false) injects the guard-dominance
-    miscompile of {!Options.t.fault_skip_guard_dominance}: the
-    dereference prefetches are emitted {e before} their [spec_load]. *)
+    The [Skip_guard_dominance] fault in [faults] (default none) injects
+    the guard-dominance miscompile: the dereference prefetches are
+    emitted {e before} their [spec_load]. *)
 
 val apply :
-  ?fault_skip_guard:bool ->
+  ?faults:Vm.Fault.set ->
   guarded:bool ->
   Vm.Bytecode.instr array ->
   plan list ->
@@ -74,7 +74,7 @@ val apply :
     sequence runs exactly when its anchor load ran. [guarded] selects the
     guarded-load form for indirect prefetches (TLB priming on machines
     with small DTLBs, per {!Options.use_guarded});
-    [fault_skip_guard] is forwarded to {!splice_of_action}. *)
+    [faults] is forwarded to {!splice_of_action}. *)
 
 val action_descriptor : action -> string
 (** A stable one-line identity of an action for provenance diffing, e.g.

@@ -190,7 +190,7 @@ let process ?registry ?sink ?predictor ~opts ~interp ~(meth : C.method_info)
     let forest = Jit.Loops.analyze cfg in
     if forest.roots = [] then []
     else begin
-      let machine = (Vm.Interp.options interp).machine in
+      let { Vm.Interp.machine; faults; _ } = Vm.Interp.options interp in
       let infos =
         Jit.Stack_model.analyze code ~arity:meth.arity
           ~callee_arity:(fun m -> (C.method_of_id program m).arity)
@@ -407,14 +407,12 @@ let process ?registry ?sink ?predictor ~opts ~interp ~(meth : C.method_info)
       if rewrite && List.exists (fun p -> p.Codegen.actions <> []) !plans
       then begin
         let guarded = Options.use_guarded opts machine in
-        meth.code <-
-          Codegen.apply
-            ~fault_skip_guard:opts.fault_skip_guard_dominance ~guarded code
-            !plans;
+        meth.code <- Codegen.apply ~faults ~guarded code !plans;
         meth.n_pref_regs <- !next_reg
       end;
       if
-        rewrite && opts.fault_prediction_desync
+        rewrite
+        && Vm.Fault.mem Vm.Fault.Prediction_desync faults
         && opts.prediction <> Options.Inspect
       then meth.code <- Predict.inject_desync meth.code;
       List.rev !reports

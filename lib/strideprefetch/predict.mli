@@ -6,7 +6,7 @@
     so the pass consumes predictions through the [predictor] closure type
     below and never sees the abstract domain itself. This module also owns
     the {e agreement scorer} that joins static predictions against
-    inspected strides per LDG node ([spf_lint --predict]) and the
+    inspected strides per LDG node ([spf lint --predict]) and the
     prediction-desync fault injection for the fuzz oracle. *)
 
 (** Confidence lattice of a per-site stride claim. [Certain] means the
@@ -149,5 +149,5 @@ val render_table : (string * score) list -> string
 
 val inject_desync : Vm.Bytecode.instr array -> Vm.Bytecode.instr array
 (** Prepend an observable [Iconst 9001; Print] pair, shifting every branch
-    target past the new prefix — the [fault_prediction_desync] miscompile
+    target past the new prefix — the [Prediction_desync] miscompile
     only the oracle's prediction crosscheck can catch. *)

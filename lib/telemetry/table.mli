@@ -1,8 +1,9 @@
 (** Plain-text table renderer shared by the reporting CLIs.
 
     One implementation of column sizing/alignment serves the
-    effectiveness table ([spf_trace]), the profiler's top-down, object
-    and loop tables ([spf_prof]) and the bench-gate comparison
+    effectiveness table ([spf run --trace]), the profiler's top-down,
+    object and loop tables ([spf run --profile]) and the bench-gate
+    comparison
     ([spf_bench]), so they all line up the same way and a formatting fix
     lands everywhere at once.
 

@@ -49,7 +49,7 @@ let chrome_json ?(other = []) sink =
       ( "otherData",
         Json.Obj
           ([
-             ("exporter", Json.Str "spf_trace");
+             ("exporter", Json.Str "spf");
              ("total_events", Json.Int (Sink.total_events sink));
              ("dropped_events", Json.Int (Sink.dropped sink));
            ]

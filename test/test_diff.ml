@@ -120,7 +120,8 @@ let test_planted_loop_blamed () =
    self-test that the check can catch a corrupted join. *)
 let test_fault_desync_caught () =
   let rd = snapshot "Euler" in
-  let bl = B.build ~fault_desync:true ~a:rd ~b:rd () in
+  let faults = Vm.Fault.of_list [ Vm.Fault.Diff_desync ] in
+  let bl = B.build ~faults ~a:rd ~b:rd () in
   match B.check bl with
   | Some _ -> ()
   | None -> Alcotest.fail "injected desync not reported"
@@ -257,7 +258,21 @@ let test_bisect_axis_names () =
      the machine's own model spelled explicitly do not differ. *)
   let a = Bi.default_config in
   let b = { a with Bi.hw = Some Memsim.Config.default_stream } in
-  Alcotest.(check (list axis)) "resolved hw equal" [] (Bi.differing ~a ~b)
+  Alcotest.(check (list axis)) "resolved hw equal" [] (Bi.differing ~a ~b);
+  (* --vs keys are spelled like the run-configuration flags, and the
+     phased/interprocedural axes reach the pass options a replay uses. *)
+  match
+    Bi.apply_overrides a "hw-prefetch=none,phased=on,interprocedural=on"
+  with
+  | Error e -> Alcotest.fail e
+  | Ok b ->
+      Alcotest.(check (list axis))
+        "flag-named overrides" [ Bi.Hw; Bi.Phased; Bi.Interproc ]
+        (Bi.differing ~a ~b);
+      let o = Bi.options b in
+      Alcotest.(check (pair bool bool))
+        "options carry the axes" (true, true)
+        (o.O.enable_phased, o.O.inspect_calls)
 
 let suite =
   [

@@ -69,8 +69,7 @@ let test_oracle_accepts_clean_programs () =
      the hardware-model triple + the prediction-tier triple. *)
   Alcotest.(check int) "full matrix" 22 campaign.Fuzz.Driver.cells_per_program
 
-let unguarded (o : Vm.Interp.options) =
-  { o with Vm.Interp.unguarded_spec_loads = true }
+let unguarded = Vm.Fault.of_list [ Vm.Fault.Unguarded_spec_loads ]
 
 (* Seed 111 generates an array walk whose q.next.v chain gets a spec_load
    whose guard trips near the heap frontier — the canonical victim for the
@@ -79,7 +78,7 @@ let injection_seed = 111
 
 let test_injected_fault_is_caught_and_shrunk () =
   let campaign =
-    Fuzz.Driver.run ~tweak_options:unguarded ~campaign_seed:injection_seed
+    Fuzz.Driver.run ~faults:unguarded ~campaign_seed:injection_seed
       ~count:1 ~max_size:8 ()
   in
   match campaign.Fuzz.Driver.findings with
@@ -111,7 +110,7 @@ let test_injected_fault_is_caught_and_shrunk () =
                 (Minijava.Compile.string_of_error e));
           let g = Fuzz.Gen.generate ~seed:injection_seed ~max_size:8 in
           (match
-             Fuzz.Oracle.check ~tweak_options:unguarded
+             Fuzz.Oracle.check ~faults:unguarded
                ~source:s.Fuzz.Shrink.source
                ~heap_limit_bytes:g.Fuzz.Gen.heap_limit_bytes ()
            with
@@ -141,7 +140,7 @@ let test_replay_protocol () =
      the exact failing program — the published replay protocol *)
   let campaign_seed = injection_seed - 2 in
   let campaign =
-    Fuzz.Driver.run ~tweak_options:unguarded ~shrink:false ~campaign_seed
+    Fuzz.Driver.run ~faults:unguarded ~shrink:false ~campaign_seed
       ~count:3 ~max_size:8 ()
   in
   Alcotest.(check bool) "the injected fault produced a finding" true
@@ -170,6 +169,16 @@ let test_shrink_terminates_and_decreases () =
   Alcotest.(check bool) "smaller than the original" true
     (String.length r.Fuzz.Shrink.source < String.length (Fuzz.Gen.source g))
 
+(* Every fault is spelled once, in Vm.Fault's name table; the
+   command line's --inject parses the same names back. *)
+let test_fault_names_round_trip () =
+  List.iter
+    (fun f ->
+      Alcotest.(check bool)
+        (Vm.Fault.name f ^ " parses back") true
+        (Vm.Fault.of_name (Vm.Fault.name f) = Some f))
+    Vm.Fault.all
+
 let suite =
   [
     ("generator: deterministic per seed", `Quick, test_generator_deterministic);
@@ -185,4 +194,5 @@ let suite =
     ("driver: replay protocol", `Quick, test_replay_protocol);
     ("shrink: terminates at a compiling minimum", `Quick,
      test_shrink_terminates_and_decreases);
+    ("fault: every name parses back", `Quick, test_fault_names_round_trip);
   ]

@@ -248,7 +248,7 @@ let test_stationary_never_degraded () =
   (* The four historically false-positive-prone stationary workloads
      (periodic bursts, mid-run pass handovers, startup oscillation) on
      both machines; the full 24-run sweep lives in `dune build
-     @monitor` / spf_mon. *)
+     @monitor` / spf run --monitor. *)
   List.iter
     (fun name ->
       let w = find_workload name in
