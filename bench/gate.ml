@@ -18,37 +18,13 @@
 module J = Telemetry.Json
 
 type cell_rec = {
-  workload : string;
-  machine : string;
-  mode : string;
-  engine : string;
-      (** "closure" when the field is absent: reports written before the
-          dispatch lane existed timed the only engine there was, and its
-          cells keep matching the closure cells of newer reports —
-          wall-clock across that boundary is compared under the reset
-          protocol in BENCH_history/README.md *)
-  telemetry : bool;
-  profile : bool;
-  monitor : bool;
-      (** the live windowed monitor was armed; [false] when the field is
-          absent — reports written before the monitor existed have no
-          monitored twins, and their plain cells keep matching *)
-  hw : string;
-      (** hardware prefetch model spec; "stream:8" (the default) when
-          the field is absent — reports written before the RPT
-          co-simulation existed ran the only model there was, and their
-          cells keep matching the default cells of newer reports *)
-  sw_threshold : int option;
-      (** SW inter-stride threshold override of an arbitration-sweep
-          cell; [None] (paper default) for canonical-matrix cells *)
-  prediction : string option;
-      (** prediction tier of a prediction-sweep cell; [None] (the
-          dynamic-inspection default) for canonical-matrix cells *)
+  id : Runner.id;
+      (** fields a report omits take their defaults, so older reports
+          keep matching newer cells; see gate.mli *)
   blame : J.t option;
       (** compact per-loop blame payload of a profiled cell (raw JSON,
           ingested by [Diff.Rundata.of_bench_blame] when the gate needs
-          to explain a cycle regression); [None] for unprofiled cells
-          and for reports written before the blame lane existed *)
+          to explain a cycle regression) *)
   seconds : float;
   cycles : int;
 }
@@ -59,23 +35,6 @@ type run = {
   host_cpus : int;
   cells : cell_rec list;
 }
-
-let default_hw =
-  Memsim.Config.hw_prefetch_to_string Memsim.Config.default_stream
-
-let cell_key c =
-  Printf.sprintf "%s/%s/%s%s%s%s%s%s%s%s" c.workload c.machine c.mode
-    (if c.telemetry then "/telemetry" else "")
-    (if c.profile then "/profile" else "")
-    (if c.monitor then "/monitor" else "")
-    (if c.engine = "closure" then "" else "/" ^ c.engine ^ "-engine")
-    (if c.hw = default_hw then "" else "/hw=" ^ c.hw)
-    (match c.sw_threshold with
-    | None -> ""
-    | Some t -> Printf.sprintf "/thr=%d" t)
-    (match c.prediction with
-    | None -> ""
-    | Some p -> "/pred=" ^ p)
 
 (* ------------------------------------------------------------------ *)
 (* Lenient report reader: any schema loads (so a mismatch can be reported
@@ -99,71 +58,68 @@ let mem_float k j =
   | Some (J.Int i) -> Some (float_of_int i)
   | _ -> None
 
+let ( let* ) = Result.bind
+
 let cell_of_json ~label i j =
-  let req name = function
-    | Some v -> Ok v
-    | None ->
-        Error (Printf.sprintf "%s: cells[%d]: missing or ill-typed %S" label i name)
+  let req get name =
+    Option.to_result (get name j)
+      ~none:
+        (Printf.sprintf "%s: cells[%d]: missing or ill-typed %S" label i name)
   in
-  match
-    ( req "workload" (mem_str "workload" j),
-      req "machine" (mem_str "machine" j),
-      req "mode" (mem_str "mode" j),
-      req "seconds" (mem_float "seconds" j),
-      req "cycles" (mem_int "cycles" j) )
-  with
-  | Ok workload, Ok machine, Ok mode, Ok seconds, Ok cycles ->
-      Ok
+  let* workload = req mem_str "workload" in
+  let* machine = req mem_str "machine" in
+  let* mode = req mem_str "mode" in
+  let* seconds = req mem_float "seconds" in
+  let* cycles = req mem_int "cycles" in
+  let flag k = Option.value ~default:false (mem_bool k j) in
+  Ok
+    {
+      id =
         {
-          workload;
+          Runner.workload;
           machine;
           mode;
           engine = Option.value ~default:"closure" (mem_str "engine" j);
-          telemetry = Option.value ~default:false (mem_bool "telemetry" j);
-          profile = Option.value ~default:false (mem_bool "profile" j);
-          monitor = Option.value ~default:false (mem_bool "monitor" j);
-          hw = Option.value ~default:default_hw (mem_str "hw_prefetch" j);
+          telemetry = flag "telemetry";
+          profile = flag "profile";
+          monitor = flag "monitor";
+          hw =
+            Option.value ~default:Runner.default_hw (mem_str "hw_prefetch" j);
           sw_threshold = mem_int "sw_threshold" j;
           prediction = mem_str "prediction" j;
-          blame = J.member "blame" j;
-          seconds;
-          cycles;
-        }
-  | (Error _ as e), _, _, _, _
-  | _, (Error _ as e), _, _, _
-  | _, _, (Error _ as e), _, _
-  | _, _, _, (Error _ as e), _
-  | _, _, _, _, (Error _ as e) ->
-      e
+          knobs = mem_str "knobs" j;
+        };
+      blame = J.member "blame" j;
+      seconds;
+      cycles;
+    }
 
 let of_string ~label s =
-  match J.parse s with
-  | Error e -> Error (Printf.sprintf "%s: %s" label e)
-  | Ok j -> (
-      match mem_str "schema" j with
-      | None -> Error (Printf.sprintf "%s: missing \"schema\" field" label)
-      | Some schema -> (
-          match Option.bind (J.member "cells" j) J.to_list_opt with
-          | None -> Error (Printf.sprintf "%s: missing \"cells\" array" label)
-          | Some cells -> (
-              let rec collect i acc = function
-                | [] -> Ok (List.rev acc)
-                | c :: rest -> (
-                    match cell_of_json ~label i c with
-                    | Ok cell -> collect (i + 1) (cell :: acc) rest
-                    | Error _ as e -> e)
-              in
-              match collect 0 [] cells with
-              | Error _ as e -> e
-              | Ok cells ->
-                  Ok
-                    {
-                      schema;
-                      jobs = Option.value ~default:0 (mem_int "jobs" j);
-                      host_cpus =
-                        Option.value ~default:0 (mem_int "host_cpus" j);
-                      cells;
-                    })))
+  let missing what = Printf.sprintf "%s: missing %s" label what in
+  let* j = Result.map_error (Printf.sprintf "%s: %s" label) (J.parse s) in
+  let* schema =
+    Option.to_result (mem_str "schema" j) ~none:(missing "\"schema\" field")
+  in
+  let* cells =
+    Option.to_result
+      (Option.bind (J.member "cells" j) J.to_list_opt)
+      ~none:(missing "\"cells\" array")
+  in
+  let rec collect i = function
+    | [] -> Ok []
+    | c :: rest ->
+        let* cell = cell_of_json ~label i c in
+        let* cells = collect (i + 1) rest in
+        Ok (cell :: cells)
+  in
+  let* cells = collect 0 cells in
+  Ok
+    {
+      schema;
+      jobs = Option.value ~default:0 (mem_int "jobs" j);
+      host_cpus = Option.value ~default:0 (mem_int "host_cpus" j);
+      cells;
+    }
 
 let load path =
   match In_channel.with_open_text path In_channel.input_all with
@@ -223,19 +179,19 @@ let compare_runs ?(threshold = 0.05) ~(a : run) ~(b : run) () =
     Error
       (Printf.sprintf
          "schema mismatch: the gate compares %S reports only, got %S vs %S \
-          (regenerate the older report with `spf_bench --record`)"
+          (regenerate the older report with `spf_bench record`)"
          expected a.schema b.schema)
   else begin
     let index cells =
       let h = Hashtbl.create 64 in
-      List.iter (fun c -> Hashtbl.replace h (cell_key c) c) cells;
+      List.iter (fun c -> Hashtbl.replace h (Runner.key c.id) c) cells;
       h
     in
     let ia = index a.cells and ib = index b.cells in
     let pairs =
       List.filter_map
         (fun ca ->
-          let key = cell_key ca in
+          let key = Runner.key ca.id in
           match Hashtbl.find_opt ib key with
           | Some cb -> Some { key; a = ca; b = cb }
           | None -> None)
@@ -244,13 +200,13 @@ let compare_runs ?(threshold = 0.05) ~(a : run) ~(b : run) () =
     let only_a =
       List.filter_map
         (fun c ->
-          let k = cell_key c in
+          let k = Runner.key c.id in
           if Hashtbl.mem ib k then None else Some k)
         a.cells
     and only_b =
       List.filter_map
         (fun c ->
-          let k = cell_key c in
+          let k = Runner.key c.id in
           if Hashtbl.mem ia k then None else Some k)
         b.cells
     in
@@ -261,22 +217,18 @@ let compare_runs ?(threshold = 0.05) ~(a : run) ~(b : run) () =
       and cycle_improvements =
         List.filter (fun p -> p.b.cycles < p.a.cycles) pairs
       in
-      let log_ratios =
-        pairs
-        |> List.filter_map (fun p ->
-               if p.a.seconds > 0.0 && p.b.seconds > 0.0 then
-                 Some (log (p.b.seconds /. p.a.seconds))
-               else None)
-        |> Array.of_list
+      let ratios =
+        List.filter_map
+          (fun p ->
+            if p.a.seconds > 0.0 && p.b.seconds > 0.0 then
+              Some (p.b.seconds /. p.a.seconds)
+            else None)
+          pairs
       in
-      let seconds_geomean =
-        if Array.length log_ratios = 0 then nan
-        else
-          exp
-            (Array.fold_left ( +. ) 0.0 log_ratios
-            /. float_of_int (Array.length log_ratios))
+      let seconds_geomean = Report.geomean ratios in
+      let ci_low, ci_high =
+        bootstrap_ci (Array.of_list (List.map log ratios))
       in
-      let ci_low, ci_high = bootstrap_ci log_ratios in
       Ok
         {
           pairs;
@@ -299,33 +251,17 @@ let compare_runs ?(threshold = 0.05) ~(a : run) ~(b : run) () =
 let passes c = c.cycle_regressions = [] && not c.significant_slowdown
 let gate_exit c = if passes c then 0 else 1
 
-(* Per-report dispatch lane: geomean of switch/closure wall-clock over
-   the switch-engine twins and their plain closure cells. [None] when the
-   report has no dispatch lane (pre-lane baselines). *)
 let dispatch_geomean (r : run) =
-  let ratios =
-    List.filter_map
-      (fun s ->
-        if s.engine <> "switch" then None
-        else
-          List.find_opt
-            (fun c ->
-              c.engine = "closure" && (not c.telemetry) && (not c.profile)
-              && (not c.monitor)
-              && c.workload = s.workload && c.machine = s.machine
-              && c.mode = s.mode)
-            r.cells
-          |> Option.map (fun c -> (s.seconds, c.seconds)))
+  match
+    Report.dispatch_pairs
+      ~id:(fun c -> c.id)
+      ~seconds:(fun c -> c.seconds)
       r.cells
-    |> List.filter (fun (s, c) -> s > 0.0 && c > 0.0)
-  in
-  match ratios with
+  with
   | [] -> None
-  | _ ->
+  | pairs ->
       Some
-        (exp
-           (List.fold_left (fun acc (s, c) -> acc +. log (s /. c)) 0.0 ratios
-           /. float_of_int (List.length ratios)))
+        (Report.geomean (List.map (fun (s, c) -> s.seconds /. c.seconds) pairs))
 
 (* ------------------------------------------------------------------ *)
 

@@ -14,37 +14,21 @@
       same-host re-runs of an unchanged tree pass. *)
 
 type cell_rec = {
-  workload : string;
-  machine : string;
-  mode : string;
-  engine : string;
-      (** ["closure"] when the field is absent: pre-dispatch-lane reports
-          timed the only engine there was, and their cells keep matching
-          newer closure cells (see the wall-clock reset protocol in
-          BENCH_history/README.md) *)
-  telemetry : bool;
-  profile : bool;
-  monitor : bool;
-      (** the live windowed monitor was armed; [false] when the field is
-          absent — pre-monitor reports have no monitored twins, and
-          their plain cells keep matching *)
-  hw : string;
-      (** hardware prefetch model spec (e.g. ["rpt:64x2@4"]);
-          ["stream:8"] — the default model — when the field is absent,
-          so pre-RPT reports keep matching newer default cells *)
-  sw_threshold : int option;
-      (** SW inter-stride threshold of an arbitration-sweep cell;
-          [None] (paper default, half a line) otherwise *)
-  prediction : string option;
-      (** prediction tier of a prediction-sweep cell; [None] (the
-          dynamic-inspection default) for canonical-matrix cells and for
-          reports written before the prediction lane existed *)
+  id : Runner.id;
+      (** the cell's identity as the report records it. Fields a report
+          omits take their defaults, so older reports keep matching
+          newer cells: [engine] ["closure"] (pre-dispatch-lane reports
+          timed the only engine there was; see the wall-clock reset
+          protocol in BENCH_history/README.md), [monitor] [false],
+          [hw] {!Runner.default_hw} (pre-RPT reports ran the only model
+          there was), and [sw_threshold] / [prediction] / [knobs]
+          [None] *)
   blame : Telemetry.Json.t option;
       (** compact per-loop blame payload of a profiled cell, raw — fed
           to [Diff.Rundata.of_bench_blame] when a failing gate explains
           its cycle regressions; [None] for unprofiled cells and for
           pre-blame reports (their cells keep matching: the payload is
-          not part of {!cell_key}) *)
+          not part of the key) *)
   seconds : float;
   cycles : int;
 }
@@ -56,18 +40,6 @@ type run = {
   cells : cell_rec list;
 }
 
-val default_hw : string
-(** Spec string of the default hardware model (["stream:8"]) — the value
-    [hw] takes when a report predates the field. *)
-
-val cell_key : cell_rec -> string
-(** ["workload/machine/mode"] with ["/telemetry"] / ["/profile"] /
-    ["/switch-engine"] / ["/hw=..."] / ["/thr=N"] suffixes — the
-    identity cells are matched on across reports (it deliberately
-    ignores [seconds], [cycles] and the report's [jobs]). The hw and
-    threshold suffixes appear only on non-default cells, so canonical
-    matrix keys are unchanged from pre-sweep reports. *)
-
 val of_string : label:string -> string -> (run, string) result
 (** Parse a report. Lenient about schema (so {!compare_runs} can name both
     schemas in its refusal) and about missing boolean fields, strict about
@@ -78,6 +50,7 @@ val load : string -> (run, string) result
 (** {!of_string} on a file's contents; I/O errors become [Error]. *)
 
 type pair = { key : string; a : cell_rec; b : cell_rec }
+(** Two cells matched on {!Runner.key}. *)
 
 type comparison = {
   pairs : pair list;  (** cells present in both reports, in A's order *)
@@ -110,8 +83,8 @@ val gate_exit : comparison -> int
 
 val dispatch_geomean : run -> float option
 (** The report's dispatch lane: geomean of switch/closure wall-clock
-    speedups over the switch-engine twins and their plain closure cells;
-    [None] when the report predates the lane. *)
+    speedups over the {!Report.dispatch_pairs} of its cells; [None] when
+    the report predates the lane. *)
 
 val render : comparison -> string
 (** The full human-readable verdict: per-cell table ({!Telemetry.Table}),

@@ -1,108 +1,28 @@
-(* Reproduction harness: regenerates every table and figure of the paper's
-   evaluation (see DESIGN.md section 4 for the experiment index), plus an
-   ablation sweep and bechamel microbenchmarks of the compiler machinery.
-   The hot-path baseline BENCH_hotpath.json is recorded by spf_bench
-   --record, never by this program.
-
-   Usage: dune exec bench/main.exe [-- flags] [experiment ...]
-   Experiments: table1 table2 table3 fig34 fig5 fig6 fig7 fig8 fig9 fig10
-   fig11 ablation micro; default is all of them in paper order.
-
-   Flags:
-     --jobs N     size of the Domain pool for the simulation matrix
-                  (default: Domain.recommended_domain_count ())
-     --smoke      reduced bechamel quota for [micro] (used by dune runtest)
-
-   All simulation cells needed by the requested experiments are collected
-   up front, deduplicated, and run once on the Domain pool (Bench_runner);
-   the experiments then only read the pre-computed matrix. Simulated cycle
-   counts are independent of --jobs. *)
+(* The paper's evaluation: every table and figure (DESIGN.md section 4
+   indexes them), an ablation sweep, and bechamel microbenchmarks of the
+   compiler machinery. Each experiment declares the simulation cells it
+   reads; spf_bench's paper subcommand runs them all once, deduplicated,
+   on the Domain pool, and the experiments then only print from the
+   finished matrix. Simulated cycle counts are independent of --jobs. *)
 
 module SP = Strideprefetch
 module W = Workloads.Workload
 module H = Workloads.Harness
 module Runner = Bench_runner.Runner
 
-let workloads = Workloads.Specjvm.all @ Workloads.Javagrande.all
-let specjvm_names = List.map (fun (w : W.t) -> w.name) Workloads.Specjvm.all
+(* The finished matrix: the result of a cell an experiment declared. *)
+type lookup = Runner.cell -> H.run_result
 
-let machines = [ Memsim.Config.pentium4; Memsim.Config.athlon_mp ]
-let all_modes = [ SP.Options.Off; SP.Options.Inter; SP.Options.Inter_intra ]
+let specjvm_names = List.map (fun (w : W.t) -> w.name) Workloads.Specjvm.all
 
 let heading title =
   Printf.printf "\n%s\n%s\n" title (String.make (String.length title) '=')
 
 let subheading title = Printf.printf "\n-- %s --\n" title
 
-(* ------------------------------------------------------------------ *)
-(* Result matrix: each (workload, machine, mode, opts) cell runs once per
-   process. The cells for the requested experiments are prefilled in
-   parallel by [prefill]; [result_of_cell] falls back to a serial run only
-   for cells no experiment declared (which would be a bug in [needs]). *)
-
-type key =
-  string * string * SP.Options.mode * SP.Options.t option * bool * bool * bool
-
-let key_of (c : Runner.cell) : key =
-  ( c.workload.W.name,
-    c.machine.Memsim.Config.name,
-    c.mode,
-    c.opts,
-    c.telemetry,
-    c.profile,
-    c.monitor )
-
-let cache : (key, Runner.timed) Hashtbl.t = Hashtbl.create 64
-
-let prefill ~jobs cells =
-  let todo =
-    List.filter (fun c -> not (Hashtbl.mem cache (key_of c))) cells
-  in
-  (* Dedup while preserving order. *)
-  let seen = Hashtbl.create 64 in
-  let todo =
-    List.filter
-      (fun c ->
-        let k = key_of c in
-        if Hashtbl.mem seen k then false
-        else begin
-          Hashtbl.add seen k ();
-          true
-        end)
-      todo
-  in
-  if todo <> [] then begin
-    Printf.eprintf "[bench] running %d simulation cells on %d domain(s)...\n%!"
-      (List.length todo) jobs;
-    let timed =
-      Runner.run_matrix ~jobs
-        ~progress:(fun c ->
-          Printf.eprintf "[bench]   %s\n%!" (Runner.cell_label c))
-        todo
-    in
-    List.iter (fun (t : Runner.timed) -> Hashtbl.replace cache (key_of t.cell) t)
-      timed
-  end
-
-let timed_of_cell (c : Runner.cell) =
-  let k = key_of c in
-  match Hashtbl.find_opt cache k with
-  | Some t -> t
-  | None ->
-      Printf.eprintf "[bench] running %s (not prefilled)...\n%!"
-        (Runner.cell_label c);
-      let t = Runner.run_cell c in
-      Hashtbl.replace cache k t;
-      t
-
-let result_opts ?opts (w : W.t) machine mode =
-  (timed_of_cell (Runner.cell ?opts w machine mode)).Runner.result
-
-let result w machine mode = result_opts w machine mode
-
-let speedup_percent w machine mode =
-  let baseline = result w machine SP.Options.Off in
-  H.percent_speedup ~baseline (result w machine mode)
+let speedup_percent (run : lookup) w machine mode =
+  let baseline = run (Runner.cell w machine SP.Options.Off) in
+  H.percent_speedup ~baseline (run (Runner.cell w machine mode))
 
 (* ------------------------------------------------------------------ *)
 (* Table 1: the load instructions of findInMemory. *)
@@ -149,22 +69,22 @@ let table2 () =
         (match m.prefetch_target with
         | Memsim.Config.To_l2 -> "L2"
         | Memsim.Config.To_l1 -> "L1"))
-    machines
+    Runner.machines
 
 (* ------------------------------------------------------------------ *)
 
-let table3 () =
+let table3 (run : lookup) =
   heading "Table 3: benchmarks and % of cycles in compiled code (Pentium 4)";
   Printf.printf "%-11s %-10s %-14s %s\n" "Program" "Suite" "Compiled (%)"
     "Description";
   List.iter
     (fun (w : W.t) ->
-      let r = result w Memsim.Config.pentium4 SP.Options.Off in
+      let r = run (Runner.cell w Memsim.Config.pentium4 SP.Options.Off) in
       Printf.printf "%-11s %-10s %-14.1f %s\n" w.name
         (if List.mem w.name specjvm_names then "SPECjvm98" else "JavaGrande")
         (100.0 *. H.compiled_fraction r)
         w.description)
-    workloads
+    Runner.workloads
 
 (* ------------------------------------------------------------------ *)
 (* Figures 3 and 4: the generated prefetching code, INTER vs INTER+INTRA. *)
@@ -224,7 +144,7 @@ let fig5 () =
 
 (* ------------------------------------------------------------------ *)
 
-let speedup_figure ~figure ~machine () =
+let speedup_figure ~figure ~machine (run : lookup) =
   heading
     (Printf.sprintf "Figure %s: speedup ratios on the %s" figure
        machine.Memsim.Config.name);
@@ -232,50 +152,39 @@ let speedup_figure ~figure ~machine () =
   List.iter
     (fun (w : W.t) ->
       Printf.printf "%-11s %+11.1f%% %+11.1f%%\n" w.name
-        (speedup_percent w machine SP.Options.Inter)
-        (speedup_percent w machine SP.Options.Inter_intra))
-    workloads
-
-let fig6 () = speedup_figure ~figure:"6" ~machine:Memsim.Config.pentium4 ()
-let fig7 () = speedup_figure ~figure:"7" ~machine:Memsim.Config.athlon_mp ()
+        (speedup_percent run w machine SP.Options.Inter)
+        (speedup_percent run w machine SP.Options.Inter_intra))
+    Runner.workloads
 
 (* ------------------------------------------------------------------ *)
 
-let mpi_figure ~figure ~label ~extract () =
+let mpi_figure ~figure ~label ~extract (run : lookup) =
   heading
     (Printf.sprintf "Figure %s: %s on the Pentium 4 (x1000)" figure label);
   Printf.printf "%-11s %12s %12s\n" "Program" "BASELINE" "INTER+INTRA";
   List.iter
     (fun (w : W.t) ->
-      let base = result w Memsim.Config.pentium4 SP.Options.Off in
-      let opt = result w Memsim.Config.pentium4 SP.Options.Inter_intra in
+      let base = run (Runner.cell w Memsim.Config.pentium4 SP.Options.Off) in
+      let opt =
+        run (Runner.cell w Memsim.Config.pentium4 SP.Options.Inter_intra)
+      in
       Printf.printf "%-11s %12.3f %12.3f\n" w.name
         (1000.0 *. extract base.H.stats)
         (1000.0 *. extract opt.H.stats))
-    workloads
-
-let fig8 () =
-  mpi_figure ~figure:"8" ~label:"L1 cache load MPI"
-    ~extract:Memsim.Stats.l1_load_mpi ()
-
-let fig9 () =
-  mpi_figure ~figure:"9" ~label:"L2 cache load MPI"
-    ~extract:Memsim.Stats.l2_load_mpi ()
-
-let fig10 () =
-  mpi_figure ~figure:"10" ~label:"DTLB load MPI"
-    ~extract:Memsim.Stats.dtlb_load_mpi ()
+    Runner.workloads
 
 (* ------------------------------------------------------------------ *)
 
-let fig11 () =
+let fig11 (run : lookup) =
   heading "Figure 11: compilation time of the prefetching pass (Pentium 4)";
   Printf.printf "%-11s %10s %15s %15s %12s\n" "Program" "methods"
     "prefetch (ms)" "rest of JIT(ms)" "per hot method";
   let worst_per_method = ref 0.0 in
   List.iter
     (fun (w : W.t) ->
-      let r = result w Memsim.Config.pentium4 SP.Options.Inter_intra in
+      let r =
+        run (Runner.cell w Memsim.Config.pentium4 SP.Options.Inter_intra)
+      in
       let per_method =
         if r.methods_compiled = 0 then 0.0
         else 1000.0 *. r.prefetch_pass_seconds /. float_of_int r.methods_compiled
@@ -287,7 +196,7 @@ let fig11 () =
         (1000.0
         *. (r.total_compile_seconds -. r.prefetch_pass_seconds))
         per_method)
-    workloads;
+    Runner.workloads;
   Printf.printf
     "\nWorst-case prefetch-pass cost: %.3f ms per hot method.\n\
      The paper reports the pass adds < 3.0%% to total JIT compilation time\n\
@@ -302,66 +211,58 @@ let fig11 () =
     !worst_per_method
 
 (* ------------------------------------------------------------------ *)
-(* Ablation: knob sweeps, expressed as custom-opts cells so they run on
-   the same Domain pool as everything else. *)
+(* Ablation: knob sweeps on the Pentium 4, expressed as custom-opts
+   cells so they run on the same Domain pool as everything else. Each
+   section is (title, workload, mode, [(label, knobs)]); speedups are
+   against the workload's BASELINE. *)
 
-let find_workload name = List.find (fun (w : W.t) -> w.name = name) workloads
-
-let ablation_points =
+let ablation_sections =
+  let d = SP.Options.default in
   let iterations =
     List.map
       (fun n ->
-        (n, { SP.Options.default with SP.Options.inspect_iterations = n }))
+        (Printf.sprintf "%2d iterations" n, { d with inspect_iterations = n }))
       [ 5; 10; 20; 40 ]
   and distances =
     List.map
-      (fun c ->
-        (c, { SP.Options.default with SP.Options.scheduling_distance = c }))
+      (fun c -> (Printf.sprintf "c = %d" c, { d with scheduling_distance = c }))
       [ 1; 2; 4 ]
   and majorities =
     List.map
-      (fun m -> (m, { SP.Options.default with SP.Options.majority = m }))
+      (fun m -> (Printf.sprintf "majority %.2f" m, { d with majority = m }))
       [ 0.5; 0.75; 0.95 ]
   in
-  (iterations, distances, majorities)
+  [
+    ("db: INTER+INTRA speedup vs inspected iterations", "db",
+     SP.Options.Inter_intra, iterations);
+    ("db: INTER+INTRA speedup vs scheduling distance c", "db",
+     SP.Options.Inter_intra, distances);
+    ("Euler: INTER speedup vs scheduling distance c", "Euler",
+     SP.Options.Inter, distances);
+    ("jess: majority threshold", "jess", SP.Options.Inter_intra, majorities);
+  ]
 
-let ablation () =
+let ablation_cells =
+  List.concat_map
+    (fun (_, name, mode, points) ->
+      let w = Runner.workload name and p4 = Memsim.Config.pentium4 in
+      Runner.cell w p4 SP.Options.Off
+      :: List.map (fun (_, opts) -> Runner.cell ~opts w p4 mode) points)
+    ablation_sections
+
+let ablation (run : lookup) =
   heading "Ablation: inspected iterations and scheduling distance (Pentium 4)";
-  let machine = Memsim.Config.pentium4 in
-  let iterations, distances, majorities = ablation_points in
-  let w = find_workload "db" in
-  let baseline = result w machine SP.Options.Off in
-  subheading "db: INTER+INTRA speedup vs inspected iterations";
   List.iter
-    (fun (n, opts) ->
-      let r = result_opts ~opts w machine SP.Options.Inter_intra in
-      Printf.printf "  %2d iterations: %+6.1f%%\n" n
-        (H.percent_speedup ~baseline r))
-    iterations;
-  subheading "db: INTER+INTRA speedup vs scheduling distance c";
-  List.iter
-    (fun (c, opts) ->
-      let r = result_opts ~opts w machine SP.Options.Inter_intra in
-      Printf.printf "  c = %d: %+6.1f%%\n" c (H.percent_speedup ~baseline r))
-    distances;
-  let euler = find_workload "Euler" in
-  let euler_baseline = result euler machine SP.Options.Off in
-  subheading "Euler: INTER speedup vs scheduling distance c";
-  List.iter
-    (fun (c, opts) ->
-      let r = result_opts ~opts euler machine SP.Options.Inter in
-      Printf.printf "  c = %d: %+6.1f%%\n" c
-        (H.percent_speedup ~baseline:euler_baseline r))
-    distances;
-  subheading "jess: majority threshold";
-  let jess = find_workload "jess" in
-  let jess_baseline = result jess machine SP.Options.Off in
-  List.iter
-    (fun (m, opts) ->
-      let r = result_opts ~opts jess machine SP.Options.Inter_intra in
-      Printf.printf "  majority %.2f: %+6.1f%%\n" m
-        (H.percent_speedup ~baseline:jess_baseline r))
-    majorities
+    (fun (title, name, mode, points) ->
+      let w = Runner.workload name and p4 = Memsim.Config.pentium4 in
+      let baseline = run (Runner.cell w p4 SP.Options.Off) in
+      subheading title;
+      List.iter
+        (fun (label, opts) ->
+          Printf.printf "  %s: %+6.1f%%\n" label
+            (H.percent_speedup ~baseline (run (Runner.cell ~opts w p4 mode))))
+        points)
+    ablation_sections
 
 (* ------------------------------------------------------------------ *)
 (* Bechamel microbenchmarks of the compiler-side machinery. *)
@@ -477,116 +378,46 @@ let micro ~smoke () =
     tests
 
 (* ------------------------------------------------------------------ *)
-(* Experiment index and the cells each one needs from the matrix. *)
+(* Experiment index, in paper order, with the cells each one reads. *)
 
-let matrix_cells ~machines ~modes =
+type experiment = {
+  name : string;
+  needs : Runner.cell list;
+  print : lookup -> unit;
+}
+
+let matrix_cells ~machine ~modes =
   List.concat_map
-    (fun (w : W.t) ->
-      List.concat_map
-        (fun machine -> List.map (fun mode -> Runner.cell w machine mode) modes)
-        machines)
-    workloads
+    (fun (w : W.t) -> List.map (fun mode -> Runner.cell w machine mode) modes)
+    Runner.workloads
 
-let ablation_cells () =
+let experiments ~smoke =
   let p4 = Memsim.Config.pentium4 in
-  let iterations, distances, majorities = ablation_points in
-  let db = find_workload "db"
-  and euler = find_workload "Euler"
-  and jess = find_workload "jess" in
-  Runner.cell db p4 SP.Options.Off
-  :: Runner.cell euler p4 SP.Options.Off
-  :: Runner.cell jess p4 SP.Options.Off
-  :: (List.map
-        (fun (_, opts) -> Runner.cell ~opts db p4 SP.Options.Inter_intra)
-        iterations
-     @ List.map
-         (fun (_, opts) -> Runner.cell ~opts db p4 SP.Options.Inter_intra)
-         distances
-     @ List.map
-         (fun (_, opts) -> Runner.cell ~opts euler p4 SP.Options.Inter)
-         distances
-     @ List.map
-         (fun (_, opts) -> Runner.cell ~opts jess p4 SP.Options.Inter_intra)
-         majorities)
-
-let needs = function
-  | "table3" ->
-      matrix_cells ~machines:[ Memsim.Config.pentium4 ]
-        ~modes:[ SP.Options.Off ]
-  | "fig6" ->
-      matrix_cells ~machines:[ Memsim.Config.pentium4 ] ~modes:all_modes
-  | "fig7" ->
-      matrix_cells ~machines:[ Memsim.Config.athlon_mp ] ~modes:all_modes
-  | "fig8" | "fig9" | "fig10" ->
-      matrix_cells ~machines:[ Memsim.Config.pentium4 ]
-        ~modes:[ SP.Options.Off; SP.Options.Inter_intra ]
-  | "fig11" ->
-      matrix_cells ~machines:[ Memsim.Config.pentium4 ]
-        ~modes:[ SP.Options.Inter_intra ]
-  | "ablation" -> ablation_cells ()
-  | _ -> []
-
-let experiment_names =
+  let printing name print = { name; needs = []; print } in
+  let matrix name ~machine ~modes print =
+    { name; needs = matrix_cells ~machine ~modes; print }
+  in
+  let mpi name ~figure ~label ~extract =
+    matrix name ~machine:p4 ~modes:[ SP.Options.Off; SP.Options.Inter_intra ]
+      (mpi_figure ~figure ~label ~extract)
+  in
   [
-    "table1"; "table2"; "table3"; "fig34"; "fig5"; "fig6"; "fig7"; "fig8";
-    "fig9"; "fig10"; "fig11"; "ablation"; "micro";
+    printing "table1" (fun _ -> table1 ());
+    printing "table2" (fun _ -> table2 ());
+    matrix "table3" ~machine:p4 ~modes:[ SP.Options.Off ] table3;
+    printing "fig34" (fun _ -> fig34 ());
+    printing "fig5" (fun _ -> fig5 ());
+    matrix "fig6" ~machine:p4 ~modes:Runner.modes
+      (speedup_figure ~figure:"6" ~machine:p4);
+    matrix "fig7" ~machine:Memsim.Config.athlon_mp ~modes:Runner.modes
+      (speedup_figure ~figure:"7" ~machine:Memsim.Config.athlon_mp);
+    mpi "fig8" ~figure:"8" ~label:"L1 cache load MPI"
+      ~extract:Memsim.Stats.l1_load_mpi;
+    mpi "fig9" ~figure:"9" ~label:"L2 cache load MPI"
+      ~extract:Memsim.Stats.l2_load_mpi;
+    mpi "fig10" ~figure:"10" ~label:"DTLB load MPI"
+      ~extract:Memsim.Stats.dtlb_load_mpi;
+    matrix "fig11" ~machine:p4 ~modes:[ SP.Options.Inter_intra ] fig11;
+    { name = "ablation"; needs = ablation_cells; print = ablation };
+    printing "micro" (fun _ -> micro ~smoke ());
   ]
-
-let usage () =
-  Printf.eprintf
-    "usage: main.exe [--jobs N] [--smoke] [experiment ...]\n\
-     experiments: %s\n"
-    (String.concat ", " experiment_names)
-
-let () =
-  let jobs = ref (Runner.default_jobs ()) in
-  let smoke = ref false in
-  let names = ref [] in
-  let rec parse = function
-    | [] -> ()
-    | "--jobs" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some n when n >= 1 -> jobs := n
-        | _ ->
-            Printf.eprintf "--jobs expects a positive integer, got '%s'\n" n;
-            exit 2);
-        parse rest
-    | "--smoke" :: rest ->
-        smoke := true;
-        parse rest
-    | ("--help" | "-h") :: _ ->
-        usage ();
-        exit 0
-    | name :: rest ->
-        if List.mem name experiment_names then names := !names @ [ name ]
-        else begin
-          Printf.eprintf "unknown experiment '%s'\n" name;
-          usage ();
-          exit 1
-        end;
-        parse rest
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  let requested = if !names = [] then experiment_names else !names in
-  (* One parallel pass over every simulation cell any requested experiment
-     will read; the experiments themselves are then pure printing. *)
-  prefill ~jobs:!jobs (List.concat_map needs requested);
-  let run = function
-    | "table1" -> table1 ()
-    | "table2" -> table2 ()
-    | "table3" -> table3 ()
-    | "fig34" -> fig34 ()
-    | "fig5" -> fig5 ()
-    | "fig6" -> fig6 ()
-    | "fig7" -> fig7 ()
-    | "fig8" -> fig8 ()
-    | "fig9" -> fig9 ()
-    | "fig10" -> fig10 ()
-    | "fig11" -> fig11 ()
-    | "ablation" -> ablation ()
-    | "micro" -> micro ~smoke:!smoke ()
-    | name ->
-        Printf.eprintf "unknown experiment '%s'\n" name;
-        exit 1
-  in
-  List.iter run requested

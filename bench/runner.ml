@@ -50,29 +50,98 @@ let cell ?opts ?(telemetry = false) ?(profile = false) ?(monitor = false)
     ?(engine = Vm.Interp.Closure) workload machine mode =
   { workload; machine; mode; opts; telemetry; profile; monitor; engine }
 
-let cell_label c =
-  Printf.sprintf "%s/%s/%s%s%s%s%s%s%s%s" c.workload.W.name
-    c.machine.Memsim.Config.name
-    (SP.Options.mode_name c.mode)
-    (match c.opts with None -> "" | Some _ -> "/custom-opts")
-    (match c.opts with
-    | Some o when o.SP.Options.prediction <> SP.Options.Inspect ->
-        "/pred=" ^ SP.Options.prediction_name o.SP.Options.prediction
-    | _ -> "")
-    (if c.telemetry then "/telemetry" else "")
-    (if c.profile then "/profile" else "")
-    (if c.monitor then "/monitor" else "")
-    (match c.engine with
-    | Vm.Interp.Closure -> ""
-    | e -> "/" ^ Vm.Interp.engine_name e ^ "-engine")
-    (if c.machine.Memsim.Config.hw_prefetch = Memsim.Config.default_stream
-     then ""
-     else
-       "/hw="
-       ^ Memsim.Config.hw_prefetch_to_string
-           c.machine.Memsim.Config.hw_prefetch)
+type id = {
+  workload : string;
+  machine : string;
+  mode : string;
+  engine : string;
+  telemetry : bool;
+  profile : bool;
+  monitor : bool;
+  hw : string;
+  sw_threshold : int option;
+  prediction : string option;
+  knobs : string option;
+}
 
-let run_cell c =
+let default_hw =
+  Memsim.Config.hw_prefetch_to_string Memsim.Config.default_stream
+
+(* The knobs the bench's ablations vary get readable names; any other
+   override is lumped under "custom" (no bench cell sets one). The mode
+   inside [opts] is ignored: the cell's own mode overrides it. *)
+let knobs (o : SP.Options.t) =
+  let d = SP.Options.default in
+  let named =
+    List.filter_map
+      (fun (name, differs, value) ->
+        if differs then Some (name ^ "=" ^ value) else None)
+      [
+        ( "iters",
+          o.inspect_iterations <> d.inspect_iterations,
+          string_of_int o.inspect_iterations );
+        ( "c",
+          o.scheduling_distance <> d.scheduling_distance,
+          string_of_int o.scheduling_distance );
+        ("majority", o.majority <> d.majority, Printf.sprintf "%g" o.majority);
+      ]
+  in
+  let rest =
+    {
+      o with
+      SP.Options.mode = d.mode;
+      inspect_iterations = d.inspect_iterations;
+      scheduling_distance = d.scheduling_distance;
+      majority = d.majority;
+      inter_stride_threshold = d.inter_stride_threshold;
+      prediction = d.prediction;
+    }
+  in
+  match named @ if rest = d then [] else [ "custom" ] with
+  | [] -> None
+  | ks -> Some (String.concat "," ks)
+
+let id (c : cell) =
+  let opts = Option.value ~default:SP.Options.default c.opts in
+  {
+    workload = c.workload.W.name;
+    machine = c.machine.Memsim.Config.name;
+    mode = SP.Options.mode_name c.mode;
+    engine = Vm.Interp.engine_name c.engine;
+    telemetry = c.telemetry;
+    profile = c.profile;
+    monitor = c.monitor;
+    hw =
+      Memsim.Config.hw_prefetch_to_string c.machine.Memsim.Config.hw_prefetch;
+    sw_threshold = opts.SP.Options.inter_stride_threshold;
+    prediction =
+      (match opts.SP.Options.prediction with
+      | SP.Options.Inspect -> None
+      | p -> Some (SP.Options.prediction_name p));
+    knobs = knobs opts;
+  }
+
+let key i =
+  let suffix = function None -> "" | Some s -> "/" ^ s in
+  String.concat ""
+    [
+      i.workload; "/"; i.machine; "/"; i.mode;
+      (if i.telemetry then "/telemetry" else "");
+      (if i.profile then "/profile" else "");
+      (if i.monitor then "/monitor" else "");
+      (if i.engine = "closure" then "" else "/" ^ i.engine ^ "-engine");
+      (if i.hw = default_hw then "" else "/hw=" ^ i.hw);
+      suffix (Option.map (Printf.sprintf "thr=%d") i.sw_threshold);
+      suffix (Option.map (( ^ ) "pred=") i.prediction);
+      suffix i.knobs;
+    ]
+
+let workloads = Workloads.Specjvm.all @ Workloads.Javagrande.all
+let workload name = List.find (fun (w : W.t) -> w.name = name) workloads
+let machines = [ Memsim.Config.pentium4; Memsim.Config.athlon_mp ]
+let modes = [ SP.Options.Off; SP.Options.Inter; SP.Options.Inter_intra ]
+
+let run_cell (c : cell) =
   let t0 = Unix.gettimeofday () in
   let monitor =
     if c.monitor then Some Monitor.Collector.default_window_cycles else None

@@ -6,7 +6,10 @@
     matrix is farmed out to a pool of OCaml 5 Domains. Simulated cycle
     counts are a pure function of the cell: the parallel runner is
     byte-identical to the serial one (asserted by test/test_bench_runner.ml);
-    only host wall-clock changes. *)
+    only host wall-clock changes.
+
+    The module also owns what every bench path shares: the cell identity
+    ({!key}) and the workload, machine and mode sets. *)
 
 type cell = {
   workload : Workloads.Workload.t;
@@ -54,15 +57,63 @@ val cell :
 (** [telemetry], [profile] and [monitor] default to [false]; [engine]
     to [Vm.Interp.Closure]. *)
 
-val cell_label : cell -> string
-(** ["workload/machine/mode"], with a ["/custom-opts"] suffix when the cell
-    overrides the algorithm knobs, a ["/telemetry"] suffix when the
-    cell records effectiveness attribution, a ["/profile"] suffix
-    when the cell carries the object-centric profiler, a ["/monitor"]
-    suffix when it arms the live windowed monitor, a
-    ["/switch-engine"] suffix when it runs on a non-default engine, and
-    a ["/hw=..."] suffix when the machine's hardware prefetcher is not
-    the default stream unit. *)
+(** {2 Cell identity}
+
+    The one name a cell goes by: in progress lines, when a cell list is
+    deduplicated, when the gate matches cells across reports, when a
+    regressed cell is looked up for a re-run, and when a switch-engine
+    twin is paired with its closure cell. A report records the same
+    fields, so a parsed report cell ({!Gate.cell_rec}) carries an [id]
+    too and keys the same way. *)
+
+type id = {
+  workload : string;
+  machine : string;
+  mode : string;  (** {!Strideprefetch.Options.mode_name} spelling *)
+  engine : string;  (** {!Vm.Interp.engine_name} spelling *)
+  telemetry : bool;
+  profile : bool;
+  monitor : bool;
+  hw : string;
+      (** hardware prefetch model spec string (e.g. ["rpt:64x2@4"]);
+          {!default_hw} for the default stream unit *)
+  sw_threshold : int option;
+      (** SW inter-stride threshold override; [None] = the paper's
+          half-line rule *)
+  prediction : string option;
+      (** prediction tier other than the default [inspect] *)
+  knobs : string option;
+      (** any other algorithm-knob override, e.g.
+          ["iters=5"] / ["c=2"] / ["majority=0.5"], with ["custom"]
+          standing for knobs the bench never varies; [None] for
+          default knobs *)
+}
+
+val default_hw : string
+(** Spec string of the default hardware model (["stream:8"]). *)
+
+val id : cell -> id
+
+val key : id -> string
+(** ["workload/machine/mode"] with ["/telemetry"], ["/profile"],
+    ["/monitor"], ["/ENGINE-engine"], ["/hw=..."], ["/thr=N"],
+    ["/pred=..."] and ["/KNOBS"] suffixes, each present only when the
+    field departs from its default — so canonical-matrix keys are the
+    same as in every committed report. *)
+
+(** {2 The workload set} *)
+
+val workloads : Workloads.Workload.t list
+(** The SPECjvm98 and JavaGrande workloads of the paper's evaluation. *)
+
+val workload : string -> Workloads.Workload.t
+(** The workload of {!workloads} with this name; raises [Not_found]. *)
+
+val machines : Memsim.Config.machine list
+(** The paper's two machines: Pentium 4 and Athlon MP. *)
+
+val modes : Strideprefetch.Options.mode list
+(** BASELINE, INTER, INTER+INTRA. *)
 
 val run_cell : cell -> timed
 (** Run one cell serially in the calling domain. *)

@@ -1,65 +1,141 @@
-(* spf_bench: record bench_hotpath/v2 reports and run the statistical
-   regression gate between them.
+(* spf_bench: the one bench driver. Subcommands (spf_bench COMMAND --help
+   for each): [paper] regenerates the paper's tables and figures,
+   [record] writes a bench_hotpath/v2 report of the canonical matrix,
+   [compare] and [gate] run the statistical regression gate, [sweep]
+   runs the SW/HW arbitration or prediction lane, and [selftest] checks
+   the gate itself on one cell.
 
-   Usage:
-     spf_bench --record PATH [--jobs N]         run the canonical matrix,
-                                                write the report to PATH
-     spf_bench --compare BASELINE NEW           gate NEW against BASELINE
-                                                (exit 1 on regression)
-     spf_bench --gate-against BASELINE [--jobs N]
-                                                record a fresh in-memory
-                                                run and gate it against
-                                                BASELINE
-     spf_bench --smoke                          fast self-check used by
-                                                dune runtest: one cell run
-                                                twice must gate clean, an
-                                                injected +10% cycle count
-                                                must fail, and a v1 schema
-                                                must be refused
+   Every path that runs simulation cells goes through [run_cells] (one
+   dedup, one progress line per cell, one wall clock), and every report
+   it renders goes through [report] (one writer, one read-back check).
 
    Cycle counts are gated on exact equality (they are deterministic);
    wall-clock is gated on a bootstrap 95% CI of the per-cell geomean
-   ratio against a practical threshold (--threshold, default 5%). *)
+   ratio against a practical threshold (--threshold, default 5%).
 
+   Exit codes, as for spf: 0 ok, 1 a check or the gate failed, 2 bad
+   input (an unknown subcommand or experiment, a malformed option value,
+   an unreadable or ill-formed report). *)
+
+open Cmdliner
 module Runner = Bench_runner.Runner
 module Report = Bench_runner.Report
 module Gate = Bench_runner.Gate
-module W = Workloads.Workload
 module SP = Strideprefetch
+module H = Workloads.Harness
+module C = Memsim.Config
+module J = Telemetry.Json
 
-let usage () =
-  prerr_endline
-    "usage: spf_bench (--record PATH | --compare BASELINE NEW | \
-     --gate-against BASELINE | --sweep-arbitration [PATH] | \
-     --sweep-prediction [PATH] | --smoke) [--jobs N] [--threshold PCT]\n\
-     --sweep-arbitration sweeps the SW inter-stride threshold against \
-     the hardware prefetch models per machine and auto-picks the \
-     minimum-cycle arbitration point; with --smoke it runs a tiny grid \
-     (Euler x pentium4) as a self-check instead.\n\
-     --sweep-prediction runs every workload on both machines \
-     under the inspect and hybrid prediction tiers and reports the \
-     inspection iterations the address-algebra predictor saves at \
-     equal-or-better simulated cycles; with --smoke it runs Euler x \
-     pentium4 as a self-check instead."
+let exit_check = 1
+let exit_input = 2
 
-let ok_or_die = function
-  | Ok v -> v
-  | Error e ->
-      prerr_endline ("spf_bench: " ^ e);
-      exit 2
+(* Command-line errors exit 2 as well (see the end of this file), so
+   cmdliner's 123/124 never occur. *)
+let exits =
+  [
+    Cmd.Exit.info Cmd.Exit.ok ~doc:"on success.";
+    Cmd.Exit.info exit_check
+      ~doc:
+        "a check failed: the gate found a cycle regression or a \
+         significant slowdown, or a self-check or sweep-lane contract did \
+         not hold.";
+    Cmd.Exit.info exit_input
+      ~doc:
+        "bad input: an unknown subcommand or experiment, a malformed \
+         command line or option value, or an unreadable or ill-formed \
+         report.";
+    Cmd.Exit.info Cmd.Exit.internal_error
+      ~doc:"on unexpected internal errors (bugs).";
+  ]
 
-let record_timed ~jobs =
-  let cells = Report.default_cells () in
+let die code fmt =
+  Printf.ksprintf
+    (fun msg ->
+      prerr_endline ("spf_bench: " ^ msg);
+      exit code)
+    fmt
+
+let ok_or code = function Ok v -> v | Error e -> die code "%s" e
+let check cond what =
+  if not cond then die exit_check "self-check FAIL: %s" what
+
+(* ------------------------------------------------------------------ *)
+(* The run path: deduplicate by key (first occurrence wins), run on the
+   Domain pool, time the whole matrix. *)
+
+let run_cells ~jobs cells =
+  let seen = Hashtbl.create 64 in
+  let cells =
+    List.filter
+      (fun c ->
+        let k = Runner.key (Runner.id c) in
+        (not (Hashtbl.mem seen k)) && (Hashtbl.add seen k (); true))
+      cells
+  in
   Printf.eprintf "[spf_bench] running %d cells on %d job(s)...\n%!"
     (List.length cells) jobs;
   let t0 = Unix.gettimeofday () in
   let timed =
     Runner.run_matrix ~jobs
       ~progress:(fun c ->
-        Printf.eprintf "[spf_bench]   %s\n%!" (Runner.cell_label c))
+        Printf.eprintf "[spf_bench]   %s\n%!" (Runner.key (Runner.id c)))
       cells
   in
   (timed, Unix.gettimeofday () -. t0)
+
+(* The report path: render [timed], write it to [path] when given, and
+   read it back as the gate will — the round-trip, schema and one-key-
+   per-cell checks every recorded, swept or self-tested report passes. *)
+let report ?lanes ?path ~jobs ~wall timed =
+  let json =
+    Report.to_json_string ?lanes ~jobs ~matrix_wall_seconds:wall timed
+  in
+  Option.iter
+    (fun path ->
+      Out_channel.with_open_text path (fun oc -> output_string oc json);
+      Printf.printf "wrote %s (%d cells, %.1f s wall)\n" path
+        (List.length timed) wall)
+    path;
+  let r =
+    match Gate.of_string ~label:"<report>" json with
+    | Ok r -> r
+    | Error e -> die exit_check "self-check FAIL: report does not parse: %s" e
+  in
+  let keys = List.map (fun (c : Gate.cell_rec) -> Runner.key c.id) r.cells in
+  check (r.schema = Report.schema) "report has the wrong schema";
+  check
+    (List.length (List.sort_uniq compare keys) = List.length keys)
+    "report cells collide under one key";
+  r
+
+(* ------------------------------------------------------------------ *)
+(* paper *)
+
+let paper ~jobs ~smoke names =
+  let all = Paper.experiments ~smoke in
+  let chosen =
+    if names = [] then all
+    else
+      List.map (fun n -> List.find (fun e -> e.Paper.name = n) all) names
+  in
+  let timed, _ =
+    run_cells ~jobs (List.concat_map (fun e -> e.Paper.needs) chosen)
+  in
+  let results = Hashtbl.create 128 in
+  List.iter
+    (fun (t : Runner.timed) ->
+      Hashtbl.replace results (Runner.key (Runner.id t.cell)) t.result)
+    timed;
+  let lookup c =
+    let k = Runner.key (Runner.id c) in
+    match Hashtbl.find_opt results k with
+    | Some r -> r
+    | None -> invalid_arg ("paper: no experiment declared cell " ^ k)
+  in
+  List.iter (fun e -> e.Paper.print lookup) chosen
+
+(* ------------------------------------------------------------------ *)
+(* record / compare / gate *)
 
 let print_dispatch label run =
   match Gate.dispatch_geomean run with
@@ -69,18 +145,9 @@ let print_dispatch label run =
   | None -> ()
 
 let record ~jobs path =
-  let timed, wall = record_timed ~jobs in
-  Report.write_json ~path ~jobs ~matrix_wall_seconds:wall timed;
-  Printf.printf "wrote %s (%d cells, %.1f s wall)\n" path (List.length timed)
-    wall;
-  let pairs = Report.dispatch_pairs timed in
-  if pairs <> [] then
-    Printf.printf "dispatch geomean speedup (switch/closure): %.3fx over %d \
-                   pairs\n"
-      (Report.dispatch_geomean pairs)
-      (List.length pairs)
+  let timed, wall = run_cells ~jobs (Report.default_cells ()) in
+  print_dispatch "recorded" (report ~path ~jobs ~wall timed)
 
-(* ------------------------------------------------------------------ *)
 (* Blame on failure: when the gate trips on a cycle regression, explain
    it — per-loop cycle deltas decomposed by stall bin (lib/diff's blame
    report), so a red gate ships its own diagnosis instead of a bare
@@ -88,19 +155,19 @@ let record ~jobs path =
 
    Two-sided when both reports embed the profiled cell's blame payload
    (reports written by the current Report.to_json_string do); when the
-   baseline predates the blame lane, --gate-against falls back to a
-   one-sided fresh profiled re-run of the regressed cell — where the
-   cycles go now, even if the delta can't be split per loop. *)
+   baseline predates the blame lane, gate falls back to a one-sided
+   fresh profiled re-run of the regressed cell — where the cycles go
+   now, even if the delta can't be split per loop. *)
 
 let blame_config (c : Gate.cell_rec) =
   {
-    Diff.Rundata.c_workload = c.Gate.workload;
-    c_machine = c.machine;
-    c_mode = c.mode;
-    c_engine = c.engine;
-    c_hw = c.hw;
-    c_prediction = Option.value ~default:"inspect" c.prediction;
-    c_threshold = c.sw_threshold;
+    Diff.Rundata.c_workload = c.id.workload;
+    c_machine = c.id.machine;
+    c_mode = c.id.mode;
+    c_engine = c.id.engine;
+    c_hw = c.id.hw;
+    c_prediction = Option.value ~default:"inspect" c.id.prediction;
+    c_threshold = c.id.sw_threshold;
     c_passes = true;
     c_phased = false;
     c_interproc = false;
@@ -154,17 +221,13 @@ let explain_regressions ?rerun (c : Gate.comparison) =
     | _, Error why ->
         Printf.printf
           "%s; re-record the baseline with the current writer or run \
-           --gate-against for a fresh profiled diagnosis\n"
+           gate for a fresh profiled diagnosis\n"
           why
   in
   match c.Gate.cycle_regressions with
   | [] -> ()
   | regressed ->
-      let rec take n = function
-        | x :: rest when n > 0 -> x :: take (n - 1) rest
-        | _ -> []
-      in
-      List.iter explain (take max_explained regressed);
+      List.iteri (fun i p -> if i < max_explained then explain p) regressed;
       let dropped = List.length regressed - max_explained in
       if dropped > 0 then
         Printf.printf
@@ -173,64 +236,41 @@ let explain_regressions ?rerun (c : Gate.comparison) =
           dropped
 
 let compare_runs ?threshold ?rerun a b =
-  let c = ok_or_die (Gate.compare_runs ?threshold ~a ~b ()) in
+  let c = ok_or exit_input (Gate.compare_runs ?threshold ~a ~b ()) in
   print_string (Gate.render c);
   print_dispatch "A" a;
   print_dispatch "B" b;
   if not (Gate.passes c) then explain_regressions ?rerun c;
   exit (Gate.gate_exit c)
 
-let compare_files ?threshold path_a path_b =
-  let a = ok_or_die (Gate.load path_a) and b = ok_or_die (Gate.load path_b) in
-  compare_runs ?threshold a b
+let load path = ok_or exit_input (Gate.load path)
 
-let gate_against ?threshold ~jobs baseline_path =
-  let a = ok_or_die (Gate.load baseline_path) in
-  let timed, wall = record_timed ~jobs in
-  let b =
-    ok_or_die
-      (Gate.of_string ~label:"<fresh run>"
-         (Report.to_json_string ~jobs ~matrix_wall_seconds:wall timed))
-  in
+let gate ?threshold ~jobs baseline_path =
+  let a = load baseline_path in
+  let timed, wall = run_cells ~jobs (Report.default_cells ()) in
+  let b = report ~jobs ~wall timed in
   (* The fresh run is still in memory: a regressed cell whose baseline
      has no blame payload is re-run with the profiler installed (one
      cell — cheap next to the matrix) for the one-sided diagnosis. *)
-  let matches (t : Runner.timed) (c : Gate.cell_rec) =
-    t.Runner.cell.Runner.workload.W.name = c.Gate.workload
-    && t.Runner.cell.Runner.machine.Memsim.Config.name = c.Gate.machine
-    && SP.Options.mode_name t.Runner.cell.Runner.mode = c.Gate.mode
-    && Vm.Interp.engine_name t.Runner.cell.Runner.engine = c.Gate.engine
-    && t.Runner.cell.Runner.telemetry = c.Gate.telemetry
-    && t.Runner.cell.Runner.profile = c.Gate.profile
-    && t.Runner.cell.Runner.monitor = c.Gate.monitor
-    && Memsim.Config.hw_prefetch_to_string
-         t.Runner.cell.Runner.machine.Memsim.Config.hw_prefetch
-       = c.Gate.hw
-    && (match t.Runner.cell.Runner.opts with
-       | Some o ->
-           o.SP.Options.inter_stride_threshold = c.Gate.sw_threshold
-           && (if o.SP.Options.prediction <> SP.Options.Inspect then
-                 Some (SP.Options.prediction_name o.SP.Options.prediction)
-               else None)
-              = c.Gate.prediction
-       | None -> c.Gate.sw_threshold = None && c.Gate.prediction = None)
-  in
   let rerun (p : Gate.pair) =
-    match List.find_opt (fun t -> matches t p.Gate.b) timed with
+    match
+      List.find_opt
+        (fun (t : Runner.timed) -> Runner.key (Runner.id t.cell) = p.key)
+        timed
+    with
     | None -> Error "regressed cell not found in the fresh run"
     | Some t ->
         let result =
-          match t.Runner.result.Workloads.Harness.profile with
-          | Some _ -> t.Runner.result
-          | None ->
-              (Runner.run_cell { t.Runner.cell with Runner.profile = true })
-                .Runner.result
+          match t.result.H.profile with
+          | Some _ -> t.result
+          | None -> (Runner.run_cell { t.cell with profile = true }).result
         in
-        Diff.Rundata.of_run ~config:(blame_config p.Gate.b) result
+        Diff.Rundata.of_run ~config:(blame_config p.b) result
   in
   compare_runs ?threshold ~rerun a b
 
-(* --sweep-arbitration: the SW/HW arbitration sweep. The paper hands
+(* ------------------------------------------------------------------ *)
+(* sweep arbitration: the SW/HW arbitration sweep. The paper hands
    strides shorter than half a cache line to the hardware prefetcher
    (Section 4.1's "the hardware already covers short strides"); this
    sweep measures where that handoff point actually sits for each
@@ -239,24 +279,28 @@ let gate_against ?threshold ~jobs baseline_path =
    over a fixed workload set. The minimum-cycle point per machine is the
    auto-picked arbitration point, reported in the bench JSON's
    "arbitration" lane; every grid cell also lands in "cells" under a
-   distinct /hw=... /thr=N gate key.
+   distinct /hw=... /thr=N key.
 
-   The smoke variant runs a 2x2 grid on Euler x pentium4 — small enough
-   for dune runtest — and asserts the lane's structural invariants:
-   picks are grid minima, keys are distinct, the report round-trips. *)
+   --smoke runs a 2x2 grid on Euler x pentium4, small enough for dune
+   runtest. Either size checks the lane's invariants: each pick is its
+   machine's grid minimum, and the report passes [report]'s checks. *)
+type arb_point = {
+  arb_machine : string;
+  arb_threshold : int;  (** SW inter-stride threshold in bytes *)
+  arb_hw : string;  (** hardware model spec string, e.g. "rpt:64x2@4" *)
+  arb_cycles : int;  (** summed simulated cycles over the sweep workloads *)
+}
+
 let sweep_arbitration ~jobs ~smoke path =
-  let module C = Memsim.Config in
-  let all = Workloads.Specjvm.all @ Workloads.Javagrande.all in
-  let find n = List.find (fun (w : W.t) -> w.name = n) all in
   let workloads, machines, thresholds, hw_models =
     if smoke then
-      ( [ find "Euler" ],
+      ( [ Runner.workload "Euler" ],
         [ C.pentium4 ],
         [ 16; 32 ],
         [ C.default_stream; C.default_rpt ] )
     else
-      ( [ find "db"; find "compress"; find "Euler" ],
-        [ C.pentium4; C.athlon_mp ],
+      ( List.map Runner.workload [ "db"; "compress"; "Euler" ],
+        Runner.machines,
         [ 0; 16; 32; 64 ],
         [
           C.Hw_none;
@@ -266,134 +310,95 @@ let sweep_arbitration ~jobs ~smoke path =
           C.Hw_rpt { table_size = 256; degree = 2; distance = 8 };
         ] )
   in
-  let opts_for t =
-    { SP.Options.default with SP.Options.inter_stride_threshold = Some t }
-  in
-  let cells =
+  let grid_points =
     List.concat_map
-      (fun (machine : Memsim.Config.machine) ->
+      (fun (machine : C.machine) ->
         List.concat_map
-          (fun hw ->
-            List.concat_map
-              (fun t ->
-                List.map
-                  (fun w ->
-                    Runner.cell ~opts:(opts_for t) w
-                      { machine with C.hw_prefetch = hw }
-                      SP.Options.Inter_intra)
-                  workloads)
-              thresholds)
+          (fun hw -> List.map (fun t -> (machine, hw, t)) thresholds)
           hw_models)
       machines
   in
-  Printf.eprintf "[spf_bench] arbitration sweep: %d cells on %d job(s)...\n%!"
-    (List.length cells) jobs;
-  let t0 = Unix.gettimeofday () in
-  let timed =
-    Runner.run_matrix ~jobs
-      ~progress:(fun c ->
-        Printf.eprintf "[spf_bench]   %s\n%!" (Runner.cell_label c))
-      cells
+  let cells_of (machine, hw, t) =
+    List.map
+      (fun w ->
+        Runner.cell
+          ~opts:{ SP.Options.default with inter_stride_threshold = Some t }
+          w
+          { machine with C.hw_prefetch = hw }
+          SP.Options.Inter_intra)
+      workloads
   in
-  let wall = Unix.gettimeofday () -. t0 in
-  (* Sum cycles per (machine, hw, threshold) grid point. *)
+  let timed, wall = run_cells ~jobs (List.concat_map cells_of grid_points) in
+  let cycles = Hashtbl.create 64 in
+  List.iter
+    (fun (t : Runner.timed) ->
+      Hashtbl.replace cycles (Runner.key (Runner.id t.cell)) t.result.H.cycles)
+    timed;
   let grid =
-    List.concat_map
-      (fun (machine : Memsim.Config.machine) ->
-        List.concat_map
-          (fun hw ->
-            List.map
-              (fun t ->
-                let cycles =
-                  List.fold_left
-                    (fun acc (r : Runner.timed) ->
-                      if
-                        r.cell.Runner.machine.C.name = machine.C.name
-                        && r.cell.Runner.machine.C.hw_prefetch = hw
-                        && r.cell.Runner.opts = Some (opts_for t)
-                      then acc + r.result.Workloads.Harness.cycles
-                      else acc)
-                    0 timed
-                in
-                {
-                  Report.arb_machine = machine.C.name;
-                  arb_threshold = t;
-                  arb_hw = C.hw_prefetch_to_string hw;
-                  arb_cycles = cycles;
-                })
-              thresholds)
-          hw_models)
-      machines
+    List.map
+      (fun ((machine : C.machine), hw, t) ->
+        {
+          arb_machine = machine.name;
+          arb_threshold = t;
+          arb_hw = C.hw_prefetch_to_string hw;
+          arb_cycles =
+            List.fold_left
+              (fun acc c ->
+                acc + Hashtbl.find cycles (Runner.key (Runner.id c)))
+              0
+              (cells_of (machine, hw, t));
+        })
+      grid_points
+  in
+  let on (machine : C.machine) =
+    List.filter (fun p -> p.arb_machine = machine.name) grid
   in
   let picks =
     List.map
-      (fun (machine : Memsim.Config.machine) ->
-        let mine =
-          List.filter
-            (fun (p : Report.arb_point) -> p.arb_machine = machine.C.name)
-            grid
-        in
-        List.fold_left
-          (fun (best : Report.arb_point) (p : Report.arb_point) ->
-            if p.Report.arb_cycles < best.Report.arb_cycles then p else best)
-          (List.hd mine) (List.tl mine))
+      (fun machine ->
+        match on machine with
+        | first :: rest ->
+            List.fold_left
+              (fun best p -> if p.arb_cycles < best.arb_cycles then p else best)
+              first rest
+        | [] -> assert false)
       machines
   in
-  let arbitration =
-    {
-      Report.arb_workloads = List.map (fun (w : W.t) -> w.name) workloads;
-      arb_grid = grid;
-      arb_picks = picks;
-    }
-  in
+  let names = List.map (fun (w : Workloads.Workload.t) -> w.name) workloads in
   List.iter
-    (fun (p : Report.arb_point) ->
+    (fun p ->
       Printf.printf
         "arbitration pick [%s]: sw_threshold=%d hw=%s (%d cycles over %s)\n"
         p.arb_machine p.arb_threshold p.arb_hw p.arb_cycles
-        (String.concat "+" arbitration.Report.arb_workloads))
+        (String.concat "+" names))
     picks;
-  let json =
-    Report.to_json_string ~arbitration ~jobs ~matrix_wall_seconds:wall timed
+  let point p =
+    J.Obj
+      [
+        ("machine", J.Str p.arb_machine);
+        ("sw_threshold", J.Int p.arb_threshold);
+        ("hw_prefetch", J.Str p.arb_hw);
+        ("cycles", J.Int p.arb_cycles);
+      ]
   in
-  (match path with
-  | Some path ->
-      Out_channel.with_open_text path (fun oc -> output_string oc json);
-      Printf.printf "wrote %s (%d cells, %.1f s wall)\n" path
-        (List.length timed) wall
-  | None -> ());
-  if smoke then begin
-    (* Structural self-checks for the runtest hook. *)
-    let r = ok_or_die (Gate.of_string ~label:"<sweep>" json) in
-    if r.Gate.schema <> Report.schema then begin
-      prerr_endline "sweep smoke FAIL: wrong schema";
-      exit 1
-    end;
-    let keys = List.map Gate.cell_key r.Gate.cells in
-    if List.length (List.sort_uniq compare keys) <> List.length keys
-    then begin
-      prerr_endline "sweep smoke FAIL: sweep cells collide under gate keys";
-      exit 1
-    end;
-    List.iter
-      (fun (p : Report.arb_point) ->
-        let floor_cycles =
-          List.fold_left
-            (fun acc (g : Report.arb_point) ->
-              if g.arb_machine = p.arb_machine then min acc g.arb_cycles
-              else acc)
-            max_int grid
-        in
-        if p.arb_cycles <> floor_cycles then begin
-          prerr_endline
-            "sweep smoke FAIL: pick is not the grid minimum for its machine";
-          exit 1
-        end)
-      picks;
-    print_endline "sweep smoke: OK"
-  end
+  let lane =
+    J.Obj
+      [
+        ("workloads", J.List (List.map (fun n -> J.Str n) names));
+        ("picks", J.List (List.map point picks));
+        ("grid", J.List (List.map point grid));
+      ]
+  in
+  ignore (report ~lanes:[ ("arbitration", lane) ] ?path ~jobs ~wall timed);
+  List.iter2
+    (fun machine p ->
+      check
+        (List.for_all (fun g -> p.arb_cycles <= g.arb_cycles) (on machine))
+        "pick is not the grid minimum for its machine")
+    machines picks;
+  print_endline "arbitration sweep: OK"
 
-(* --sweep-prediction: the JIT-compile-time lane. The hybrid tier's
+(* sweep prediction: the JIT-compile-time lane. The hybrid tier's
    promise is purely compile-side — the address-algebra predictor's
    Certain verdicts skip the ~20 inspection iterations, Likely shortens
    them — while the simulated cycle count must stay equal or better
@@ -403,295 +408,305 @@ let sweep_arbitration ~jobs ~smoke path =
    instructions partially interpreted (saved work) next to cycles and
    prefetch-pass wall-clock. Results land in the bench JSON's
    "prediction" lane; every hybrid cell also lands in "cells" under a
-   distinct /pred=hybrid gate key.
+   distinct /pred=hybrid key.
 
-   The smoke variant runs MonteCarlo x pentium4 — small enough for dune
-   runtest — and asserts the lane's contract: the report round-trips,
-   gate keys stay distinct, hybrid begins strictly fewer inspection
-   iterations, and hybrid cycles are equal or better. *)
+   --smoke runs MonteCarlo x pentium4, small enough for dune runtest.
+   Either size checks the lane's contract: hybrid begins strictly fewer
+   inspection iterations at equal-or-better cycles on every machine,
+   and the report passes [report]'s checks. *)
 let sweep_prediction ~jobs ~smoke path =
-  let module C = Memsim.Config in
-  let all = Workloads.Specjvm.all @ Workloads.Javagrande.all in
   let workloads, machines =
-    if smoke then
-      ( [ List.find (fun (w : W.t) -> w.name = "MonteCarlo") all ],
-        [ C.pentium4 ] )
-    else (all, [ C.pentium4; C.athlon_mp ])
+    if smoke then ([ Runner.workload "MonteCarlo" ], [ C.pentium4 ])
+    else (Runner.workloads, Runner.machines)
   in
   let tiers = [ SP.Options.Inspect; SP.Options.Hybrid ] in
-  let opts_for tier =
-    { SP.Options.default with SP.Options.prediction = tier }
-  in
   let cells =
     List.concat_map
-      (fun (machine : C.machine) ->
+      (fun machine ->
         List.concat_map
-          (fun tier ->
+          (fun prediction ->
             List.map
               (fun w ->
-                (* The inspect cells are the canonical ones (no opts
-                   override), so their gate keys match the default
-                   matrix; hybrid cells carry the override and the
-                   /pred=hybrid key suffix. *)
-                match tier with
-                | SP.Options.Inspect ->
-                    Runner.cell w machine SP.Options.Inter_intra
-                | _ ->
-                    Runner.cell ~opts:(opts_for tier) w machine
-                      SP.Options.Inter_intra)
+                (* The inspect cells are the canonical ones (default
+                   knobs), so their keys match the default matrix;
+                   hybrid cells carry the /pred=hybrid suffix. *)
+                Runner.cell
+                  ~opts:{ SP.Options.default with prediction }
+                  w machine SP.Options.Inter_intra)
               workloads)
           tiers)
       machines
   in
-  Printf.eprintf "[spf_bench] prediction sweep: %d cells on %d job(s)...\n%!"
-    (List.length cells) jobs;
-  let t0 = Unix.gettimeofday () in
-  let timed =
-    Runner.run_matrix ~jobs
-      ~progress:(fun c ->
-        Printf.eprintf "[spf_bench]   %s\n%!" (Runner.cell_label c))
-      cells
+  let timed, wall = run_cells ~jobs cells in
+  (* Per cell: the tier, and inspection iterations begun and
+     instructions partially interpreted, summed over the loop reports. *)
+  let tier (t : Runner.timed) =
+    Option.value ~default:"inspect" (Runner.id t.cell).prediction
   in
-  let wall = Unix.gettimeofday () -. t0 in
-  let tier_of (t : Runner.timed) =
-    match t.cell.Runner.opts with
-    | Some o -> SP.Options.prediction_name o.SP.Options.prediction
-    | None -> SP.Options.prediction_name SP.Options.Inspect
-  in
-  let point_of (t : Runner.timed) =
-    let iters, steps =
-      List.fold_left
-        (fun (i, s) (r : SP.Pass.loop_report) ->
-          (i + r.SP.Pass.iterations_observed, s + r.SP.Pass.inspection_steps))
-        (0, 0) t.result.Workloads.Harness.reports
-    in
-    {
-      Report.pred_workload = t.cell.Runner.workload.W.name;
-      pred_machine = t.cell.Runner.machine.C.name;
-      pred_tier = tier_of t;
-      pred_cycles = t.result.Workloads.Harness.cycles;
-      pred_iterations = iters;
-      pred_steps = steps;
-      pred_pass_seconds = t.result.Workloads.Harness.prefetch_pass_seconds;
-    }
-  in
-  let points = List.map point_of timed in
-  let sum_over machine tier f =
+  let iterations (t : Runner.timed) =
     List.fold_left
-      (fun acc (p : Report.pred_point) ->
-        if p.pred_machine = machine && p.pred_tier = tier then acc + f p
+      (fun n (r : SP.Pass.loop_report) -> n + r.iterations_observed)
+      0 t.result.H.reports
+  and steps (t : Runner.timed) =
+    List.fold_left
+      (fun n (r : SP.Pass.loop_report) -> n + r.inspection_steps)
+      0 t.result.H.reports
+  and cycles (t : Runner.timed) = t.result.H.cycles in
+  Printf.printf "%-11s %-10s %-8s %12s %12s %12s %12s\n" "workload"
+    "machine" "tier" "cycles" "iterations" "insp steps" "pass (ms)";
+  List.iter
+    (fun (t : Runner.timed) ->
+      Printf.printf "%-11s %-10s %-8s %12d %12d %12d %12.3f\n"
+        t.cell.workload.name t.cell.machine.name (tier t) (cycles t)
+        (iterations t) (steps t)
+        (1000.0 *. t.result.H.prefetch_pass_seconds))
+    timed;
+  let sum (machine : C.machine) name f =
+    List.fold_left
+      (fun acc (t : Runner.timed) ->
+        if t.cell.machine.name = machine.name && tier t = name then acc + f t
         else acc)
-      0 points
+      0 timed
   in
   let summaries =
     List.map
       (fun (machine : C.machine) ->
-        let m = machine.C.name in
-        let inspect_i =
-          sum_over m "inspect" (fun p -> p.Report.pred_iterations)
-        and hybrid_i =
-          sum_over m "hybrid" (fun p -> p.Report.pred_iterations)
-        and inspect_c = sum_over m "inspect" (fun p -> p.Report.pred_cycles)
-        and hybrid_c = sum_over m "hybrid" (fun p -> p.Report.pred_cycles) in
-        {
-          Report.pred_sum_machine = m;
-          pred_iterations_inspect = inspect_i;
-          pred_iterations_hybrid = hybrid_i;
-          pred_cycles_delta = hybrid_c - inspect_c;
-        })
+        ( machine.name,
+          sum machine "inspect" iterations,
+          sum machine "hybrid" iterations,
+          sum machine "hybrid" cycles - sum machine "inspect" cycles ))
       machines
   in
-  let prediction =
-    { Report.pred_points = points; pred_summaries = summaries }
-  in
-  Printf.printf "%-11s %-10s %-8s %12s %12s %12s %12s\n" "workload"
-    "machine" "tier" "cycles" "iterations" "insp steps" "pass (ms)";
   List.iter
-    (fun (p : Report.pred_point) ->
-      Printf.printf "%-11s %-10s %-8s %12d %12d %12d %12.3f\n"
-        p.pred_workload p.pred_machine p.pred_tier p.pred_cycles
-        p.pred_iterations p.pred_steps (1000.0 *. p.pred_pass_seconds))
-    points;
-  List.iter
-    (fun (s : Report.pred_summary) ->
+    (fun (m, inspect, hybrid, delta) ->
       Printf.printf
         "prediction summary [%s]: hybrid begins %d of %d inspection \
          iterations (%d saved), cycles delta %+d\n"
-        s.Report.pred_sum_machine s.pred_iterations_hybrid
-        s.pred_iterations_inspect
-        (s.pred_iterations_inspect - s.pred_iterations_hybrid)
-        s.pred_cycles_delta)
+        m hybrid inspect (inspect - hybrid) delta)
     summaries;
-  let json =
-    Report.to_json_string ~prediction ~jobs ~matrix_wall_seconds:wall timed
+  let point (t : Runner.timed) =
+    J.Obj
+      [
+        ("workload", J.Str t.cell.workload.name);
+        ("machine", J.Str t.cell.machine.name);
+        ("tier", J.Str (tier t));
+        ("cycles", J.Int (cycles t));
+        ("inspection_iterations", J.Int (iterations t));
+        ("inspection_steps", J.Int (steps t));
+        ("prefetch_pass_seconds", J.Float t.result.H.prefetch_pass_seconds);
+      ]
+  and summary (m, inspect, hybrid, delta) =
+    J.Obj
+      [
+        ("machine", J.Str m);
+        ("iterations_inspect", J.Int inspect);
+        ("iterations_hybrid", J.Int hybrid);
+        ("iterations_saved", J.Int (inspect - hybrid));
+        ("cycles_delta", J.Int delta);
+      ]
   in
-  (match path with
-  | Some path ->
-      Out_channel.with_open_text path (fun oc -> output_string oc json);
-      Printf.printf "wrote %s (%d cells, %.1f s wall)\n" path
-        (List.length timed) wall
-  | None -> ());
-  if smoke then begin
-    let r = ok_or_die (Gate.of_string ~label:"<sweep>" json) in
-    if r.Gate.schema <> Report.schema then begin
-      prerr_endline "prediction smoke FAIL: wrong schema";
-      exit 1
-    end;
-    let keys = List.map Gate.cell_key r.Gate.cells in
-    if List.length (List.sort_uniq compare keys) <> List.length keys
-    then begin
-      prerr_endline
-        "prediction smoke FAIL: sweep cells collide under gate keys";
-      exit 1
-    end;
-    List.iter
-      (fun (s : Report.pred_summary) ->
-        if s.Report.pred_iterations_hybrid >= s.pred_iterations_inspect
-        then begin
-          prerr_endline
-            "prediction smoke FAIL: hybrid did not reduce inspection \
-             iterations";
-          exit 1
-        end;
-        if s.pred_cycles_delta > 0 then begin
-          prerr_endline
-            "prediction smoke FAIL: hybrid regressed simulated cycles";
-          exit 1
-        end)
-      summaries;
-    print_endline "prediction smoke: OK"
-  end
+  let lane =
+    J.Obj
+      [
+        ("summaries", J.List (List.map summary summaries));
+        ("points", J.List (List.map point timed));
+      ]
+  in
+  ignore (report ~lanes:[ ("prediction", lane) ] ?path ~jobs ~wall timed);
+  List.iter
+    (fun (_, inspect, hybrid, delta) ->
+      check (hybrid < inspect) "hybrid did not reduce inspection iterations";
+      check (delta <= 0) "hybrid regressed simulated cycles")
+    summaries;
+  print_endline "prediction sweep: OK"
 
-(* The runtest self-check: everything the gate promises, on one cell. *)
-let smoke () =
-  let workloads = Workloads.Specjvm.all @ Workloads.Javagrande.all in
-  let db = List.find (fun (w : W.t) -> w.name = "db") workloads in
-  let cell = Runner.cell db Memsim.Config.pentium4 SP.Options.Inter_intra in
-  let report_once () =
-    Report.to_json_string ~jobs:1 ~matrix_wall_seconds:0.0
-      [ Runner.run_cell cell ]
+(* ------------------------------------------------------------------ *)
+(* selftest: everything the gate promises, on one cell. *)
+
+let selftest () =
+  let cell =
+    Runner.cell (Runner.workload "db") C.pentium4 SP.Options.Inter_intra
   in
-  let a = ok_or_die (Gate.of_string ~label:"run A" (report_once ()))
-  and b = ok_or_die (Gate.of_string ~label:"run B" (report_once ())) in
+  let once () = report ~jobs:1 ~wall:0.0 [ Runner.run_cell cell ] in
+  let a = once () and b = once () in
   (* A huge threshold takes single-cell wall-clock noise out of the
-     verdict: the smoke asserts the cycle law, not host timing. *)
-  let c = ok_or_die (Gate.compare_runs ~threshold:10.0 ~a ~b ()) in
+     verdict: the self-test asserts the cycle law, not host timing. *)
+  let c = ok_or exit_check (Gate.compare_runs ~threshold:10.0 ~a ~b ()) in
   print_string (Gate.render c);
-  if not (Gate.passes c) || c.Gate.cycle_improvements <> [] then begin
-    prerr_endline
-      "smoke FAIL: identical re-runs disagree on simulated cycles";
-    exit 1
-  end;
+  check
+    (Gate.passes c && c.cycle_improvements = [])
+    "identical re-runs disagree on simulated cycles";
   (* An injected +10% cycle count must trip the exact-equality gate. *)
   let b_slow =
     {
       b with
-      Gate.cells =
+      cells =
         List.map
           (fun (r : Gate.cell_rec) ->
-            { r with Gate.cycles = r.cycles + (r.cycles / 10) })
-          b.Gate.cells;
+            { r with cycles = r.cycles + (r.cycles / 10) })
+          b.cells;
     }
   in
   (match Gate.compare_runs ~threshold:10.0 ~a ~b:b_slow () with
-  | Ok c' when Gate.gate_exit c' = 1 ->
-      print_endline "smoke: injected +10% cycles fails the gate (good)"
-  | Ok _ ->
-      prerr_endline "smoke FAIL: injected cycle regression not detected";
-      exit 1
-  | Error e ->
-      prerr_endline ("smoke FAIL: " ^ e);
-      exit 1);
+  | Ok c' ->
+      check (Gate.gate_exit c' = 1) "injected cycle regression not detected";
+      print_endline "selftest: injected +10% cycles fails the gate (good)"
+  | Error e -> die exit_check "self-check FAIL: %s" e);
   (* A v1 report must be refused, naming both schemas. *)
-  (match
-     Gate.compare_runs ~a:{ a with Gate.schema = "bench_hotpath/v1" } ~b ()
-   with
-  | Error e ->
-      print_endline ("smoke: v1 schema refused (good): " ^ e)
-  | Ok _ ->
-      prerr_endline "smoke FAIL: cross-schema compare was not refused";
-      exit 1);
-  print_endline "smoke: OK"
+  let v1 = { a with schema = "bench_hotpath/v1" } in
+  (match Gate.compare_runs ~a:v1 ~b () with
+  | Error e -> print_endline ("selftest: v1 schema refused (good): " ^ e)
+  | Ok _ -> die exit_check "self-check FAIL: cross-schema compare accepted");
+  print_endline "selftest: OK"
+
+(* ------------------------------------------------------------------ *)
+(* The command line. *)
+
+let positive =
+  Arg.conv
+    ( (fun s ->
+        match int_of_string_opt s with
+        | Some n when n >= 1 -> Ok n
+        | _ -> Error (`Msg ("expected a positive integer, got " ^ s))),
+      Format.pp_print_int )
+
+let percentage =
+  Arg.conv
+    ( (fun s ->
+        match float_of_string_opt s with
+        | Some p when p >= 0.0 -> Ok (p /. 100.0)
+        | _ -> Error (`Msg ("expected a percentage >= 0, got " ^ s))),
+      fun ppf p -> Format.fprintf ppf "%g" (100.0 *. p) )
+
+let jobs =
+  Arg.(
+    value
+    & opt positive (Runner.default_jobs ())
+    & info [ "jobs" ] ~docv:"N"
+        ~doc:
+          "Size of the Domain pool the simulation cells run on (default: \
+           the recommended domain count). Simulated cycles do not depend \
+           on it.")
+
+let threshold =
+  Arg.(
+    value
+    & opt (some percentage) None
+    & info [ "threshold" ] ~docv:"PCT"
+        ~doc:
+          "Practical-significance threshold of the wall-clock gate, in \
+           percent (default 5).")
+
+let smoke =
+  Arg.(
+    value & flag
+    & info [ "smoke" ]
+        ~doc:
+          "Shrink the work to a dune-runtest-sized smoke: a reduced \
+           bechamel quota for $(b,micro), a one-workload grid for a sweep.")
+
+let pos_req n docv =
+  Arg.(required & pos n (some string) None & info [] ~docv)
+
+let cmd name doc term = Cmd.v (Cmd.info name ~exits ~doc) term
+
+let paper_cmd =
+  let names =
+    List.map (fun e -> e.Paper.name) (Paper.experiments ~smoke:false)
+  in
+  let experiments =
+    Arg.(
+      value
+      & pos_all (enum (List.map (fun n -> (n, n)) names)) []
+      & info [] ~docv:"EXPERIMENT"
+          ~doc:
+            ("Experiments to print, in the order given (default: all, in \
+              paper order): " ^ String.concat ", " names ^ "."))
+  in
+  cmd "paper"
+    "Regenerate the paper's tables and figures, the ablation sweep and the \
+     compiler microbenchmarks. Every simulation cell the chosen experiments \
+     read runs once, on the Domain pool, before any of them prints."
+    Term.(
+      const (fun jobs smoke names -> paper ~jobs ~smoke names)
+      $ jobs $ smoke $ experiments)
+
+let record_cmd =
+  cmd "record"
+    "Run the canonical matrix and write its bench_hotpath/v2 report to \
+     PATH."
+    Term.(const (fun jobs path -> record ~jobs path) $ jobs $ pos_req 0 "PATH")
+
+let compare_cmd =
+  cmd "compare"
+    "Gate report NEW against report BASELINE: exact cycle equality per \
+     matched cell, bootstrap CI on wall-clock; exit 1 on a regression."
+    Term.(
+      const (fun threshold a b -> compare_runs ?threshold (load a) (load b))
+      $ threshold $ pos_req 0 "BASELINE" $ pos_req 1 "NEW")
+
+let gate_cmd =
+  cmd "gate"
+    "Record a fresh in-memory run of the canonical matrix and gate it \
+     against report BASELINE."
+    Term.(
+      const (fun jobs threshold path -> gate ?threshold ~jobs path)
+      $ jobs $ threshold $ pos_req 0 "BASELINE")
+
+let sweep_cmd =
+  let lane =
+    Arg.(
+      required
+      & pos 0
+          (some
+             (enum
+                [
+                  ("arbitration", sweep_arbitration);
+                  ("prediction", sweep_prediction);
+                ]))
+          None
+      & info [] ~docv:"LANE"
+          ~doc:
+            "$(b,arbitration): grid the SW inter-stride threshold against \
+             the hardware prefetch models per machine and pick the \
+             minimum-cycle point. $(b,prediction): run every workload \
+             under the inspect and hybrid prediction tiers and report the \
+             inspection iterations hybrid saves at equal-or-better \
+             cycles.")
+  and path =
+    Arg.(
+      value
+      & pos 1 (some string) None
+      & info [] ~docv:"PATH" ~doc:"Write the sweep's report here.")
+  in
+  cmd "sweep"
+    "Run a sweep lane and check its contract (exit 1 when it fails)."
+    Term.(
+      const (fun jobs smoke sweep path -> sweep ~jobs ~smoke path)
+      $ jobs $ smoke $ lane $ path)
+
+let selftest_cmd =
+  cmd "selftest"
+    "The gate's self-check on one cell: identical re-runs gate clean, an \
+     injected +10% cycle count fails, a v1 report is refused."
+    Term.(const selftest $ const ())
 
 let () =
-  let jobs = ref (Runner.default_jobs ()) in
-  let threshold = ref None in
-  let action = ref None in
-  let smoke_flag = ref false in
-  let set_action a =
-    match !action with
-    | None -> action := Some a
-    | Some _ ->
-        prerr_endline "spf_bench: more than one action given";
-        usage ();
-        exit 2
+  let info =
+    Cmd.info "spf_bench" ~exits
+      ~doc:
+        "The bench driver: the paper's tables and figures, bench reports, \
+         the regression gate and the sweeps."
   in
-  let rec parse = function
-    | [] -> ()
-    | "--jobs" :: n :: rest ->
-        (match int_of_string_opt n with
-        | Some n when n >= 1 -> jobs := n
-        | _ ->
-            prerr_endline "--jobs expects a positive integer";
-            exit 2);
-        parse rest
-    | "--threshold" :: p :: rest ->
-        (match float_of_string_opt p with
-        | Some p when p >= 0.0 -> threshold := Some (p /. 100.0)
-        | _ ->
-            prerr_endline "--threshold expects a percentage >= 0";
-            exit 2);
-        parse rest
-    | "--record" :: path :: rest ->
-        set_action (`Record path);
-        parse rest
-    | "--compare" :: a :: b :: rest ->
-        set_action (`Compare (a, b));
-        parse rest
-    | "--gate-against" :: path :: rest ->
-        set_action (`Gate path);
-        parse rest
-    | "--sweep-arbitration" :: rest -> (
-        match rest with
-        | path :: rest'
-          when not (String.length path > 0 && path.[0] = '-') ->
-            set_action (`Sweep (Some path));
-            parse rest'
-        | _ ->
-            set_action (`Sweep None);
-            parse rest)
-    | "--sweep-prediction" :: rest -> (
-        match rest with
-        | path :: rest'
-          when not (String.length path > 0 && path.[0] = '-') ->
-            set_action (`Sweep_prediction (Some path));
-            parse rest'
-        | _ ->
-            set_action (`Sweep_prediction None);
-            parse rest)
-    | "--smoke" :: rest ->
-        (* A flag when it modifies --sweep-arbitration, an action (the
-           gate self-check) when it stands alone. *)
-        smoke_flag := true;
-        parse rest
-    | ("--help" | "-h") :: _ ->
-        usage ();
-        exit 0
-    | arg :: _ ->
-        prerr_endline ("spf_bench: unknown argument " ^ arg);
-        usage ();
-        exit 2
-  in
-  parse (List.tl (Array.to_list Sys.argv));
-  match !action with
-  | Some (`Record path) -> record ~jobs:!jobs path
-  | Some (`Compare (a, b)) -> compare_files ?threshold:!threshold a b
-  | Some (`Gate path) -> gate_against ?threshold:!threshold ~jobs:!jobs path
-  | Some (`Sweep path) ->
-      sweep_arbitration ~jobs:!jobs ~smoke:!smoke_flag path
-  | Some (`Sweep_prediction path) ->
-      sweep_prediction ~jobs:!jobs ~smoke:!smoke_flag path
-  | None when !smoke_flag -> smoke ()
-  | None ->
-      usage ();
-      exit 2
+  exit
+    (match
+       Cmd.eval_value
+         (Cmd.group info
+            [
+              paper_cmd; record_cmd; compare_cmd; gate_cmd; sweep_cmd;
+              selftest_cmd;
+            ])
+     with
+    | Ok _ -> 0
+    | Error (`Parse | `Term) -> exit_input
+    | Error `Exn -> Cmd.Exit.internal_error)

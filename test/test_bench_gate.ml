@@ -1,7 +1,8 @@
 (* Tests for the statistical bench-regression gate (bench/gate.ml):
-   report round-tripping through the shared v2 writer, exact-cycle
-   gating, schema refusal, bootstrap determinism, and the
-   practical-significance threshold on wall-clock. *)
+   report round-tripping through the shared v2 writer, the committed
+   reports still parsing, exact-cycle gating, schema refusal, bootstrap
+   determinism, the practical-significance threshold on wall-clock, and
+   the dispatch lane's pairing rule. *)
 
 module R = Bench_runner.Runner
 module Report = Bench_runner.Report
@@ -66,13 +67,44 @@ let test_roundtrip () =
     | [ a; b ] -> (a, b)
     | _ -> assert false
   in
-  Alcotest.(check bool) "plain cell not profiled" false plain.Gate.profile;
-  Alcotest.(check bool) "profiled cell flagged" true prof.Gate.profile;
+  Alcotest.(check bool) "plain cell not profiled" false plain.id.profile;
+  Alcotest.(check bool) "profiled cell flagged" true prof.id.profile;
   Alcotest.(check bool) "distinct keys" true
-    (Gate.cell_key plain <> Gate.cell_key prof);
+    (R.key plain.id <> R.key prof.id);
   Alcotest.(check int) "cycles agree across the observer" plain.Gate.cycles
     prof.Gate.cycles;
-  Alcotest.(check bool) "cycles recorded" true (plain.Gate.cycles > 0)
+  Alcotest.(check bool) "cycles recorded" true (plain.Gate.cycles > 0);
+  (* The profiled cell's blame payload is what a failing gate explains
+     regressions from: it must still ingest through lib/diff. *)
+  Alcotest.(check bool) "plain cell carries no blame" true
+    (plain.Gate.blame = None);
+  let payload =
+    match prof.Gate.blame with
+    | Some p -> p
+    | None -> Alcotest.fail "profiled cell lost its blame payload"
+  in
+  let config =
+    {
+      Diff.Rundata.c_workload = prof.id.workload;
+      c_machine = prof.id.machine;
+      c_mode = prof.id.mode;
+      c_engine = prof.id.engine;
+      c_hw = prof.id.hw;
+      c_prediction = "inspect";
+      c_threshold = None;
+      c_passes = true;
+      c_phased = false;
+      c_interproc = false;
+    }
+  in
+  let rd =
+    ok (Diff.Rundata.of_bench_blame ~config ~cycles:prof.Gate.cycles payload)
+  in
+  Alcotest.(check bool) "blame carries loops" true
+    (rd.Diff.Rundata.loops <> []);
+  Alcotest.(check int) "binned cycles reconstruct the cell's cycles"
+    prof.Gate.cycles
+    (Array.fold_left ( + ) 0 rd.Diff.Rundata.totals)
 
 let test_same_run_passes () =
   let a = record () and b = record () in
@@ -125,7 +157,47 @@ let test_schema_refusal () =
   | Ok _ -> Alcotest.fail "v1 candidate accepted"
   | Error _ -> ()
 
+(* Every committed report — the baseline and its history — must still
+   load under the current reader, with one key per cell. *)
+let test_committed_reports_parse () =
+  let history =
+    Sys.readdir "../BENCH_history"
+    |> Array.to_list
+    |> List.filter (fun f -> Filename.check_suffix f ".json")
+    |> List.sort compare
+    |> List.map (Filename.concat "../BENCH_history")
+  in
+  Alcotest.(check bool) "history is not empty" true (history <> []);
+  List.iter
+    (fun path ->
+      let run = ok (Gate.load path) in
+      Alcotest.(check string) (path ^ ": schema") Report.schema run.Gate.schema;
+      Alcotest.(check bool) (path ^ ": has cells") true (run.Gate.cells <> []);
+      let keys = List.map (fun (c : Gate.cell_rec) -> R.key c.id) run.cells in
+      Alcotest.(check int)
+        (path ^ ": one key per cell")
+        (List.length keys)
+        (List.length (List.sort_uniq compare keys)))
+    ("../BENCH_hotpath.json" :: history)
+
 (* Synthetic runs let us pin the statistics without wall-clock noise. *)
+let synth_id workload =
+  {
+    R.workload;
+    machine = "Pentium4";
+    mode = "INTER+INTRA";
+    engine = "closure";
+    telemetry = false;
+    profile = false;
+    monitor = false;
+    hw = R.default_hw;
+    sw_threshold = None;
+    prediction = None;
+    knobs = None;
+  }
+
+let synth_cell id seconds cycles = { Gate.id; blame = None; seconds; cycles }
+
 let synth_run ?(schema = Report.schema) cells =
   {
     Gate.schema;
@@ -134,21 +206,7 @@ let synth_run ?(schema = Report.schema) cells =
     cells =
       List.mapi
         (fun i (seconds, cycles) ->
-          {
-            Gate.workload = Printf.sprintf "w%d" i;
-            machine = "Pentium4";
-            mode = "INTER+INTRA";
-            engine = "closure";
-            telemetry = false;
-            profile = false;
-            monitor = false;
-            hw = Gate.default_hw;
-            sw_threshold = None;
-            prediction = None;
-            blame = None;
-            seconds;
-            cycles;
-          })
+          synth_cell (synth_id (Printf.sprintf "w%d" i)) seconds cycles)
         cells;
   }
 
@@ -194,7 +252,9 @@ let test_unmatched_cells () =
     {
       a with
       Gate.cells =
-        List.filter (fun (c : Gate.cell_rec) -> c.workload <> "w2") a.Gate.cells;
+        List.filter
+          (fun (c : Gate.cell_rec) -> c.id.workload <> "w2")
+          a.Gate.cells;
     }
   in
   let c = ok (Gate.compare_runs ~a ~b ()) in
@@ -217,6 +277,28 @@ let test_bad_reports () =
   | Ok _ -> Alcotest.fail "cell without cycles accepted"
   | Error _ -> ()
 
+(* A switch-engine cell pairs with the closure cell that differs from it
+   only in the engine — not with the first closure cell of the same
+   workload, machine and mode, here a hardware-model sweep cell listed
+   ahead of the plain twin. *)
+let test_dispatch_pairing () =
+  let plain = synth_id "db" in
+  let run =
+    {
+      (synth_run []) with
+      Gate.cells =
+        [
+          synth_cell { plain with hw = "rpt:64x4@4" } 4.0 100;
+          synth_cell plain 2.0 100;
+          synth_cell { plain with engine = "switch" } 1.0 100;
+        ];
+    }
+  in
+  match Gate.dispatch_geomean run with
+  | None -> Alcotest.fail "switch cell left unpaired"
+  | Some g ->
+      Alcotest.(check (float 1e-9)) "paired with the plain closure twin" 0.5 g
+
 let suite =
   [
     Alcotest.test_case "report round-trips through the shared writer" `Slow
@@ -235,4 +317,8 @@ let suite =
       test_unmatched_cells;
     Alcotest.test_case "ill-formed reports are rejected" `Quick
       test_bad_reports;
+    Alcotest.test_case "committed reports still parse" `Quick
+      test_committed_reports_parse;
+    Alcotest.test_case "dispatch pairs flip only the engine" `Quick
+      test_dispatch_pairing;
   ]

@@ -94,9 +94,9 @@ let test_parallel_matches_serial () =
     (List.length parallel);
   List.iter2
     (fun (a : R.timed) (b : R.timed) ->
-      let label = R.cell_label a.cell in
+      let label = R.key (R.id a.cell) in
       Alcotest.(check string) (label ^ ": input order preserved") label
-        (R.cell_label b.cell);
+        (R.key (R.id b.cell));
       Alcotest.(check int)
         (label ^ ": cycles identical")
         a.result.H.cycles b.result.H.cycles;
@@ -126,11 +126,8 @@ let test_progress_and_clamping () =
    b6c483d) with scratch/golden.ml. The hot-path overhaul (dense heap,
    memsim fast path, frame pooling) must not change a single counter. *)
 
-let all = Workloads.Specjvm.all @ Workloads.Javagrande.all
-let find n = List.find (fun (w : W.t) -> w.name = n) all
-
 let check_golden ~name ~machine ~mode golden =
-  let r = H.run ~mode ~machine (find name) in
+  let r = H.run ~mode ~machine (R.workload name) in
   let label =
     Printf.sprintf "%s/%s/%s" name machine.Memsim.Config.name
       (SP.Options.mode_name mode)
@@ -177,8 +174,47 @@ let test_golden_search () =
       53346220; 6296151;
     ]
 
+(* One key names a cell everywhere. Canonical cells keep the spelling of
+   the committed reports; the knob overrides of the ablation sweep get
+   keys of their own. *)
+let test_cell_keys () =
+  let db = R.workload "db" and p4 = Memsim.Config.pentium4 in
+  let key ?opts ?engine machine =
+    R.key (R.id (R.cell ?opts ?engine db machine SP.Options.Inter_intra))
+  in
+  let d = SP.Options.default in
+  Alcotest.(check string) "canonical" "db/Pentium4/INTER+INTRA" (key p4);
+  Alcotest.(check string) "default knobs are the canonical cell"
+    "db/Pentium4/INTER+INTRA" (key ~opts:d p4);
+  Alcotest.(check string) "switch twin" "db/Pentium4/INTER+INTRA/switch-engine"
+    (key ~engine:Vm.Interp.Switch p4);
+  let ablation =
+    [
+      key ~opts:{ d with inspect_iterations = 5 } p4;
+      key ~opts:{ d with scheduling_distance = 2 } p4;
+      key ~opts:{ d with majority = 0.5 } p4;
+      key ~opts:{ d with inter_stride_threshold = Some 16 } p4;
+      key ~opts:{ d with prediction = SP.Options.Hybrid } p4;
+      key ~opts:{ d with enable_phased = true } p4;
+      key { p4 with hw_prefetch = Memsim.Config.default_rpt };
+    ]
+  in
+  Alcotest.(check (list string)) "overrides are spelled out"
+    [
+      "db/Pentium4/INTER+INTRA/iters=5";
+      "db/Pentium4/INTER+INTRA/c=2";
+      "db/Pentium4/INTER+INTRA/majority=0.5";
+      "db/Pentium4/INTER+INTRA/thr=16";
+      "db/Pentium4/INTER+INTRA/pred=hybrid";
+      "db/Pentium4/INTER+INTRA/custom";
+      "db/Pentium4/INTER+INTRA/hw=" ^ Memsim.Config.hw_prefetch_to_string
+        Memsim.Config.default_rpt;
+    ]
+    ablation
+
 let suite =
   [
+    ("cell keys: canonical and overridden", `Quick, test_cell_keys);
     ("2-domain matrix byte-identical to serial", `Quick,
      test_parallel_matches_serial);
     ("progress callback + jobs clamping", `Quick, test_progress_and_clamping);

@@ -1,4 +1,4 @@
-(* Workload and harness tests. Full benchmark runs live in bench/main.exe;
+(* Workload and harness tests. Full benchmark runs live in `spf_bench paper`;
    here we verify that every workload compiles and that the harness
    machinery (speedup, output equality, fractions) behaves. *)
 
@@ -121,7 +121,7 @@ let test_workload_determinism () =
 
 let test_jess_outputs_agree_across_modes () =
   (* one real benchmark end-to-end on both machines and all three modes;
-     the rest are covered by bench/main.exe *)
+     the rest are covered by `spf_bench paper` *)
   let w = List.find (fun (w : W.t) -> w.name = "jess") all in
   List.iter
     (fun machine ->
