@@ -52,26 +52,34 @@ let zero_counters () =
     useless = 0;
   }
 
-type entry = { site : int; mutable touched : bool }
+module Itbl = Int_table
 
+(* The L1/L2 shadow tables hold only fills that are not yet classified:
+   the demand access that classifies a fill (useful or late) removes its
+   entry. That is exact, because a classified entry and a missing one
+   behave the same everywhere — a later demand hit is untracked, a later
+   miss or refill counts nothing, and [flush] settles neither. So an
+   entry's presence is its "untouched" flag and the tables map a line to
+   its issuing site alone. *)
 type t = {
   mutable sites : site_counters array;
   mutable n_sites : int;
-  l1_lines : (int, entry) Hashtbl.t;  (** L1 line index -> issuing site *)
-  l2_lines : (int, entry) Hashtbl.t;  (** L2 line index -> issuing site *)
-  hw_lines : (int, bool ref) Hashtbl.t;
-      (** L2 line index -> touched, for lines the HW prefetcher filled *)
-  demand_misses : (int, int ref) Hashtbl.t;  (** demand key -> memory misses *)
+  l1_lines : int Itbl.t;  (** L1 line index -> issuing site *)
+  l2_lines : int Itbl.t;  (** L2 line index -> issuing site *)
+  hw_lines : bool Itbl.t;
+      (** L2 line index -> touched, for lines the HW prefetcher filled;
+          touched entries stay, because [hw_tracked] still reads them *)
+  demand_misses : int ref Itbl.t;  (** demand key -> memory misses *)
 }
 
 let create () =
   {
     sites = Array.init 16 (fun _ -> zero_counters ());
     n_sites = 0;
-    l1_lines = Hashtbl.create 1024;
-    l2_lines = Hashtbl.create 1024;
-    hw_lines = Hashtbl.create 1024;
-    demand_misses = Hashtbl.create 64;
+    l1_lines = Itbl.create 1024;
+    l2_lines = Itbl.create 1024;
+    hw_lines = Itbl.create 1024;
+    demand_misses = Itbl.create 64;
   }
 
 let site t id =
@@ -117,54 +125,59 @@ let note_redundant_hw t ~site:id =
   let c = site t id in
   c.redundant_hw <- c.redundant_hw + 1
 
+let note_useless t id =
+  let c = site t id in
+  c.useless <- c.useless + 1
+
 (* ---- hardware-fill shadow table (L2 only: the HW prefetcher fills the
    L2). The table answers one question at SW-prefetch issue time — "is
    this line cached because the hardware fetched it?" — and feeds the
    telemetry-only [hw_prefetch_useful] counter on first demand touch.
    Hardware fills are not part of the SW conservation law. *)
 
-let note_hw_fill t ~line = Hashtbl.replace t.hw_lines line (ref false)
-let hw_tracked t ~line = Hashtbl.mem t.hw_lines line
+let note_hw_fill t ~line = Itbl.replace t.hw_lines line false
+let hw_tracked t ~line = Itbl.mem t.hw_lines line
 
 (* A demand access found [line] present in the L2: first touch of a
    HW-filled line reports true (the HW prefetch covered a demand miss). *)
 let hw_demand_resolve t ~line =
-  match Hashtbl.find_opt t.hw_lines line with
-  | Some touched when not !touched ->
-      touched := true;
+  match Itbl.find_opt t.hw_lines line with
+  | Some false ->
+      Itbl.replace t.hw_lines line true;
       true
-  | Some _ | None -> false
+  | Some true | None -> false
 
 (* A demand access missed [line] in the L2: any HW entry there was
    evicted. *)
-let hw_demand_evict t ~line = Hashtbl.remove t.hw_lines line
+let hw_demand_evict t ~line = Itbl.remove t.hw_lines line
 
 let table t = function `L1 -> t.l1_lines | `L2 -> t.l2_lines
 
 (* A software prefetch initiated a fill of [line] at [level]. If a stale
-   untouched entry is being replaced, its line must have been evicted
+   unclassified entry is being replaced, its line must have been evicted
    since (the caller only fills on a probe miss), so it is classified
    useless here. *)
 let note_fill t ~level ~line ~site:id =
   let tbl = table t level in
-  (match Hashtbl.find_opt tbl line with
-  | Some old when not old.touched ->
-      let c = site t old.site in
-      c.useless <- c.useless + 1
-  | Some _ | None -> ());
-  Hashtbl.replace tbl line { site = id; touched = false }
+  (match Itbl.find_opt tbl line with
+  | Some old -> note_useless t old
+  | None -> ());
+  Itbl.replace tbl line id
 
 type outcome = Useful | Late | Untracked
 
 (* A demand access found [line] present at [level]; [ready] says whether
    the fill had completed. The first demand to touch a tracked line
-   classifies its prefetch; later demands are untracked hits. *)
+   classifies its prefetch and drops the entry; later demands are
+   untracked hits. Every cache hit asks and most find nothing, so the
+   lookup is [find_opt]: a raised [Not_found] costs more than the
+   lookup itself. *)
 let demand_resolve t ~level ~line ~ready =
   let tbl = table t level in
-  match Hashtbl.find_opt tbl line with
-  | Some e when not e.touched ->
-      e.touched <- true;
-      let c = site t e.site in
+  match Itbl.find_opt tbl line with
+  | Some id ->
+      Itbl.remove tbl line;
+      let c = site t id in
       if ready then begin
         c.useful <- c.useful + 1;
         Useful
@@ -173,53 +186,46 @@ let demand_resolve t ~level ~line ~ready =
         c.late <- c.late + 1;
         Late
       end
-  | Some _ | None -> Untracked
+  | None -> Untracked
 
-(* A demand access missed [line] at [level]: any untouched tracked entry
-   was evicted before use. *)
+(* A demand access missed [line] at [level]: any tracked entry was
+   evicted before use. *)
 let demand_evict t ~level ~line =
   let tbl = table t level in
-  match Hashtbl.find_opt tbl line with
-  | Some e ->
-      if not e.touched then begin
-        let c = site t e.site in
-        c.useless <- c.useless + 1
-      end;
-      Hashtbl.remove tbl line
+  match Itbl.find_opt tbl line with
+  | Some id ->
+      note_useless t id;
+      Itbl.remove tbl line
   | None -> ()
 
+(* Few buckets, nearly every miss finds its own: the lookup is [find],
+   which allocates no option on a hit. *)
 let note_demand_miss t ~key =
-  match Hashtbl.find_opt t.demand_misses key with
-  | Some r -> incr r
-  | None -> Hashtbl.add t.demand_misses key (ref 1)
+  match Itbl.find t.demand_misses key with
+  | r -> incr r
+  | exception Not_found -> Itbl.add t.demand_misses key (ref 1)
 
 let demand_misses_for t ~key =
-  match Hashtbl.find_opt t.demand_misses key with Some r -> !r | None -> 0
+  match Itbl.find_opt t.demand_misses key with Some r -> !r | None -> 0
 
 let demand_miss_buckets t =
-  Hashtbl.fold (fun k r acc -> (k, !r) :: acc) t.demand_misses []
+  Itbl.fold (fun k r acc -> (k, !r) :: acc) t.demand_misses []
   |> List.sort compare
 
 (* The shadow tables speak raw line indices, so they must be emptied
    whenever the simulated address space is rewritten (GC compaction) or
-   the caches are reset; any still-untouched fill is then useless by
+   the caches are reset; any fill still unclassified is then useless by
    definition. Also called once at end of run to settle the books. *)
 let flush t =
   let settle tbl =
-    Hashtbl.iter
-      (fun _ e ->
-        if not e.touched then begin
-          let c = site t e.site in
-          c.useless <- c.useless + 1
-        end)
-      tbl;
-    Hashtbl.reset tbl
+    Itbl.iter (fun _ id -> note_useless t id) tbl;
+    Itbl.reset tbl
   in
   settle t.l1_lines;
   settle t.l2_lines;
-  Hashtbl.reset t.hw_lines
+  Itbl.reset t.hw_lines
 
-let tracked_lines t = Hashtbl.length t.l1_lines + Hashtbl.length t.l2_lines
+let tracked_lines t = Itbl.length t.l1_lines + Itbl.length t.l2_lines
 
 (* Allocation-free windowed tap: the monitor samples totals at every
    window boundary, so the accumulator is caller-owned and overwritten in

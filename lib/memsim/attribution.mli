@@ -100,7 +100,9 @@ val flush : t -> unit
     run. *)
 
 val tracked_lines : t -> int
-(** Entries currently in the shadow tables (tests / occupancy). *)
+(** Software-prefetch fills not yet classified: the entries of the L1
+    and L2 shadow tables. A demand that classifies a fill removes its
+    entry, and {!flush} settles the rest, so this is 0 after it. *)
 
 val conservation_error : t -> string option
 (** Check the outcome conservation law

@@ -16,6 +16,7 @@
    unmonitored one. *)
 
 module A = Memsim.Attribution
+module Itbl = Memsim.Int_table
 
 (* Default window size for the CLI / bench surfaces: long enough that
    the seed workloads close a few dozen windows, short enough that a
@@ -50,9 +51,9 @@ type t = {
   mutable w_allocs : int;
   mutable w_alloc_bytes : int;
   mutable w_fresh : int;
-  seen_sites : (int, unit) Hashtbl.t;
-      (* (method, pc) alloc sites seen in any PRIOR window *)
-  window_sites : (int, unit) Hashtbl.t;
+  seen_sites : unit Itbl.t;
+      (* packed (method, pc) alloc sites seen in any PRIOR window *)
+  window_sites : unit Itbl.t;
       (* sites first seen in the current window: an allocation is
          "fresh" while its site is here rather than in [seen_sites], so
          a loop that starts allocating mid-run counts every allocation
@@ -279,8 +280,8 @@ let close_window t ~boundary ~partial =
   t.windows_rev <- w :: t.windows_rev;
   t.n_windows <- index + 1;
   (* the window's new sites are no longer fresh *)
-  Hashtbl.iter (fun k () -> Hashtbl.replace t.seen_sites k ()) t.window_sites;
-  Hashtbl.reset t.window_sites;
+  Itbl.iter (fun k () -> Itbl.replace t.seen_sites k ()) t.window_sites;
+  Itbl.reset t.window_sites;
   t.w_tlb <- 0;
   t.w_l1 <- 0;
   t.w_l2 <- 0;
@@ -338,8 +339,8 @@ let create ?(detect = Detect.default) ?registry ?sink ~window_cycles interp =
       w_allocs = 0;
       w_alloc_bytes = 0;
       w_fresh = 0;
-      seen_sites = Hashtbl.create 64;
-      window_sites = Hashtbl.create 16;
+      seen_sites = Itbl.create 64;
+      window_sites = Itbl.create 16;
       ph = Detect.ph_create ();
       stall_det = Detect.drift_create ();
       loop_det = Detect.mix_create n_m;
@@ -389,11 +390,11 @@ let hooks t : Vm.Interp.profile_hooks =
       (fun ~obj:_ ~method_id ~pc ~bytes ->
         t.w_allocs <- t.w_allocs + 1;
         t.w_alloc_bytes <- t.w_alloc_bytes + bytes;
-        let key = (method_id lsl 24) lor (pc land 0xffffff) in
-        if not (Hashtbl.mem t.seen_sites key) then begin
+        let key = Telemetry.Attrib.pack_pc ~method_id ~pc in
+        if not (Itbl.mem t.seen_sites key) then begin
           t.w_fresh <- t.w_fresh + 1;
-          if not (Hashtbl.mem t.window_sites key) then
-            Hashtbl.add t.window_sites key ()
+          if not (Itbl.mem t.window_sites key) then
+            Itbl.add t.window_sites key ()
         end);
     on_gc =
       (fun ~cycles ->

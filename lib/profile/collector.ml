@@ -56,38 +56,71 @@ type obj_cell = {
 let zero_obj () =
   { allocs = 0; alloc_bytes = 0; o_tlb = 0; o_l1 = 0; o_l2 = 0; o_mem = 0 }
 
+module Itbl = Memsim.Int_table
+
+(* The per-pc bins are a dense table indexed by method id, then by pc,
+   each level grown on demand; [no_bins] marks a pc that was never
+   charged. A cell exists once any hook names its pc — even with zero
+   cycles — exactly like the first-touch entries of a keyed table. *)
 type t = {
-  pcs : (int, bins) Hashtbl.t;  (** packed (method, pc) -> bins *)
+  mutable pcs : bins array array;  (** method id -> pc -> bins *)
   mutable obj_site : int array;  (** heap object id -> packed alloc site *)
-  obj_sites : (int, obj_cell) Hashtbl.t;  (** packed alloc site -> cell *)
+  obj_sites : obj_cell Itbl.t;  (** packed alloc site -> cell *)
   mutable gc : int;
 }
 
+let no_bins = zero_bins ()
+
 let create () =
   {
-    pcs = Hashtbl.create 512;
+    pcs = [||];
     obj_site = Array.make 1024 (-1);
-    obj_sites = Hashtbl.create 128;
+    obj_sites = Itbl.create 128;
     gc = 0;
   }
 
-let key ~method_id ~pc = (method_id lsl 16) lor (pc land 0xffff)
+let key = Telemetry.Attrib.pack_pc
+
+let grow a ~len ~fill =
+  let grown = Array.make (max len (2 * Array.length a)) fill in
+  Array.blit a 0 grown 0 (Array.length a);
+  grown
+
+(* First charge at (method, pc): grow the table to reach it and open its
+   cell. Out of line: it runs once per charged pc. *)
+let[@inline never] fresh_bins t ~method_id ~pc =
+  if method_id >= Array.length t.pcs then
+    t.pcs <- grow t.pcs ~len:(method_id + 1) ~fill:[||];
+  let row = t.pcs.(method_id) in
+  let row =
+    if pc < Array.length row then row
+    else begin
+      let row = grow row ~len:(max 16 (pc + 1)) ~fill:no_bins in
+      t.pcs.(method_id) <- row;
+      row
+    end
+  in
+  let b = zero_bins () in
+  row.(pc) <- b;
+  b
 
 let pc_bins t ~method_id ~pc =
-  let k = key ~method_id ~pc in
-  match Hashtbl.find_opt t.pcs k with
-  | Some b -> b
-  | None ->
-      let b = zero_bins () in
-      Hashtbl.add t.pcs k b;
-      b
+  if method_id < Array.length t.pcs then
+    let row = t.pcs.(method_id) in
+    if pc < Array.length row then
+      let b = row.(pc) in
+      if b != no_bins then b else fresh_bins t ~method_id ~pc
+    else fresh_bins t ~method_id ~pc
+  else fresh_bins t ~method_id ~pc
 
+(* Every stall asks for its object's site cell, so the lookup is the
+   allocation-free [find]. *)
 let obj_cell t site =
-  match Hashtbl.find_opt t.obj_sites site with
-  | Some c -> c
-  | None ->
+  match Itbl.find t.obj_sites site with
+  | c -> c
+  | exception Not_found ->
       let c = zero_obj () in
-      Hashtbl.add t.obj_sites site c;
+      Itbl.add t.obj_sites site c;
       c
 
 let site_of_obj t obj =
@@ -134,9 +167,17 @@ let hooks t : Vm.Interp.profile_hooks =
     on_gc = (fun ~cycles -> t.gc <- t.gc + cycles);
   }
 
-let pc_cells t = Hashtbl.fold (fun k b acc -> (k, b) :: acc) t.pcs []
-let obj_cells t = Hashtbl.fold (fun k c acc -> (k, c) :: acc) t.obj_sites []
-let gc_cycles t = t.gc
+let fold_pcs f t acc =
+  let acc = ref acc in
+  Array.iteri
+    (fun method_id row ->
+      Array.iteri
+        (fun pc b -> if b != no_bins then acc := f (key ~method_id ~pc) b !acc)
+        row)
+    t.pcs;
+  !acc
 
-let total t =
-  Hashtbl.fold (fun _ b acc -> acc + bins_total b) t.pcs t.gc
+let pc_cells t = fold_pcs (fun k b acc -> (k, b) :: acc) t []
+let obj_cells t = Itbl.fold (fun k c acc -> (k, c) :: acc) t.obj_sites []
+let gc_cycles t = t.gc
+let total t = fold_pcs (fun _ b acc -> acc + bins_total b) t t.gc

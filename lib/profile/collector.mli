@@ -43,8 +43,8 @@ val hooks : t -> Vm.Interp.profile_hooks
 (** The observer closures to install with {!Vm.Interp.set_profile}. *)
 
 val key : method_id:int -> pc:int -> int
-(** The packed (method, pc) key used by {!pc_cells}:
-    [method_id lsl 16 lor pc]. *)
+(** The packed (method, pc) key used by {!pc_cells} and {!obj_cells}:
+    {!Telemetry.Attrib.pack_pc}. *)
 
 val pc_cells : t -> (int * bins) list
 (** All (packed key, bins) pairs, unordered. *)

@@ -87,7 +87,8 @@ let build ~program ?reports ~cycles coll =
   let pcs =
     C.pc_cells coll
     |> List.map (fun (k, bins) ->
-           let mid = k lsr 16 and pc = k land 0xffff in
+           let mid = Telemetry.Attrib.packed_method k
+           and pc = Telemetry.Attrib.packed_pc k in
            let m = Cf.method_of_id program mid in
            let instr =
              if pc < Array.length m.code then
@@ -186,7 +187,8 @@ let build ~program ?reports ~cycles coll =
            let alloc_method, alloc_pc =
              if k < 0 then ("(unattributed)", -1)
              else
-               let mid = k lsr 16 and pc = k land 0xffff in
+               let mid = Telemetry.Attrib.packed_method k
+               and pc = Telemetry.Attrib.packed_pc k in
                ((Cf.method_of_id program mid).method_name, pc)
            in
            {

@@ -32,7 +32,7 @@ type t = {
           only when |stride| {e exceeds} this many bytes. [None] = the
           paper's half-line rule, which assumes the next-line stream
           hardware prefetcher; the SW/HW arbitration sweep
-          ([spf_bench --sweep-arbitration]) retunes it per machine and
+          ([spf_bench sweep arbitration]) retunes it per machine and
           HW model. *)
   small_trip_count : int;
       (** nested loops observed to iterate fewer times than this are

@@ -86,12 +86,21 @@ let register t key meta = Hashtbl.replace t.metas key meta
 let meta_of_key t key = Hashtbl.find_opt t.metas key
 let meta_of_id t id = if id < 0 || id >= t.n then None else meta_of_key t (key_of_id t id)
 
-(* Demand sites are attributed by a packed (method, site) key so the
-   memsim-side demand-miss buckets stay plain ints too. Site numbers are
-   bytecode offsets, well under 2^16 for any workload here. *)
-let demand_key ~method_id ~site = (method_id lsl 16) lor (site land 0xffff)
-let demand_key_method k = k lsr 16
-let demand_key_site k = k land 0xffff
+(* The one (method, pc) packer. Every int-keyed table that names a code
+   position speaks it: the hierarchy's pc (the RPT's index), the
+   demand-miss buckets, the profiler's pc and alloc-site cells and the
+   monitor's alloc-site sets. Method id in the high bits, the position
+   in the low 16; positions are bytecode offsets or load-site numbers,
+   well under 2^16 for any workload here. *)
+let pack_pc ~method_id ~pc = (method_id lsl 16) lor (pc land 0xffff)
+let packed_method k = k lsr 16
+let packed_pc k = k land 0xffff
+
+(* Demand sites are attributed by a packed (method, load site) key so
+   the memsim-side demand-miss buckets stay plain ints too. *)
+let demand_key ~method_id ~site = pack_pc ~method_id ~pc:site
+let demand_key_method = packed_method
+let demand_key_site = packed_pc
 
 let pp_key ppf = function
   | Inter_site { method_id; site } ->

@@ -39,8 +39,19 @@ val register : t -> key -> meta -> unit
 val meta_of_key : t -> key -> meta option
 val meta_of_id : t -> int -> meta option
 
+val pack_pc : method_id:int -> pc:int -> int
+(** The one (method, pc) packer, [method_id lsl 16 lor (pc land 0xffff)],
+    shared by every int-keyed table that names a code position: the
+    memory hierarchy's pc, the demand-miss buckets, the profiler's cells
+    and the monitor's alloc-site sets. *)
+
+val packed_method : int -> int
+val packed_pc : int -> int
+(** The two halves of a {!pack_pc} key. *)
+
 val demand_key : method_id:int -> site:int -> int
-(** Packed (method, site) key for demand-miss buckets. *)
+(** Packed (method, load site) key for demand-miss buckets: {!pack_pc}
+    with the load site as the position. *)
 
 val demand_key_method : int -> int
 val demand_key_site : int -> int

@@ -158,6 +158,30 @@ let[@inline] pre_i (t : t) (m : Classfile.method_info) (frame : Frame.t) ~pc
   | Some p -> p.on_cycles ~method_id:m.method_id ~pc ~bin ~cycles:base_cost
   | None -> ()
 
+(* An instrumented prefetch handler's dense attribution id, memoised in
+   the handler. The first fire under a registry resolves the handler's
+   structural key through [Telemetry.Attrib.site_id], so ids are still
+   assigned in first-fire order, exactly as the switch engine's per-fire
+   lookups assign them; later fires reuse the id without hashing the key.
+   The memo is keyed on the registry's physical identity: re-arming
+   telemetry with a fresh registry on the same interpreter resolves
+   again instead of reusing an id from the old one. *)
+type site_memo = {
+  mutable memo_registry : Telemetry.Attrib.t option;
+  mutable memo_id : int;
+}
+
+let site_memo () = { memo_registry = None; memo_id = -1 }
+
+let[@inline] memo_site_id memo registry key =
+  match memo.memo_registry with
+  | Some r when r == registry -> memo.memo_id
+  | Some _ | None ->
+      let id = Telemetry.Attrib.site_id registry key in
+      memo.memo_registry <- Some registry;
+      memo.memo_id <- id;
+      id
+
 let compile (t : t) (m : Classfile.method_info) : compiled_method =
   let code = m.code in
   let n = Array.length code in
@@ -1400,6 +1424,8 @@ let compile (t : t) (m : Classfile.method_info) : compiled_method =
           next frame
     | Prefetch_inter { site; distance } ->
         let extra = max 0 (machine.prefetch_cost - base_cost) in
+        let key = Telemetry.Attrib.Inter_site { method_id; site } in
+        let memo = site_memo () in
         fun frame ->
           pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
           charge t frame extra;
@@ -1412,10 +1438,7 @@ let compile (t : t) (m : Classfile.method_info) : compiled_method =
             match t.telem with
             | None -> Memsim.Hierarchy.sw_prefetch mem ~addr ~now:(now t)
             | Some tl ->
-                let sid =
-                  Telemetry.Attrib.site_id tl.registry
-                    (Telemetry.Attrib.Inter_site { method_id; site })
-                in
+                let sid = memo_site_id memo tl.registry key in
                 Memsim.Hierarchy.sw_prefetch_attr mem ~attrib:tl.attrib ~addr
                   ~now:(now t) ~site:sid
           end;
@@ -1423,6 +1446,8 @@ let compile (t : t) (m : Classfile.method_info) : compiled_method =
     | Spec_load { site; distance; reg } ->
         let extra = max 0 (machine.guarded_load_cost - base_cost) in
         let unguarded = Fault.mem Fault.Unguarded_spec_loads t.opts.faults in
+        let key = Telemetry.Attrib.Spec_site { method_id; site; reg } in
+        let memo = site_memo () in
         fun frame ->
           pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
           charge t frame extra;
@@ -1436,10 +1461,7 @@ let compile (t : t) (m : Classfile.method_info) : compiled_method =
             (match t.telem with
             | None -> Memsim.Hierarchy.guarded_load mem ~addr ~now:(now t)
             | Some tl ->
-                let sid =
-                  Telemetry.Attrib.site_id tl.registry
-                    (Telemetry.Attrib.Spec_site { method_id; site; reg })
-                in
+                let sid = memo_site_id memo tl.registry key in
                 Memsim.Hierarchy.guarded_load_attr mem ~attrib:tl.attrib
                   ~addr ~now:(now t) ~site:sid);
             let v =
@@ -1461,6 +1483,8 @@ let compile (t : t) (m : Classfile.method_info) : compiled_method =
           next frame
     | Prefetch_dynamic { site; times } ->
         let extra = max 0 (machine.prefetch_cost - base_cost) in
+        let key = Telemetry.Attrib.Dynamic_site { method_id; site } in
+        let memo = site_memo () in
         fun frame ->
           pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
           charge t frame extra;
@@ -1475,10 +1499,7 @@ let compile (t : t) (m : Classfile.method_info) : compiled_method =
             | None ->
                 Memsim.Hierarchy.sw_prefetch mem ~addr:target ~now:(now t)
             | Some tl ->
-                let sid =
-                  Telemetry.Attrib.site_id tl.registry
-                    (Telemetry.Attrib.Dynamic_site { method_id; site })
-                in
+                let sid = memo_site_id memo tl.registry key in
                 Memsim.Hierarchy.sw_prefetch_attr mem ~attrib:tl.attrib
                   ~addr:target ~now:(now t) ~site:sid
           end;
@@ -1488,6 +1509,8 @@ let compile (t : t) (m : Classfile.method_info) : compiled_method =
           if guarded then machine.guarded_load_cost else machine.prefetch_cost
         in
         let extra = max 0 (full - base_cost) in
+        let key = Telemetry.Attrib.Indirect_site { method_id; reg; offset } in
+        let memo = site_memo () in
         fun frame ->
           pre_i t m frame ~pc ~max_steps ~base_cost ~bin;
           charge t frame extra;
@@ -1502,10 +1525,7 @@ let compile (t : t) (m : Classfile.method_info) : compiled_method =
                     Memsim.Hierarchy.guarded_load mem ~addr ~now:(now t)
                   else Memsim.Hierarchy.sw_prefetch mem ~addr ~now:(now t)
               | Some tl ->
-                  let sid =
-                    Telemetry.Attrib.site_id tl.registry
-                      (Telemetry.Attrib.Indirect_site { method_id; reg; offset })
-                  in
+                  let sid = memo_site_id memo tl.registry key in
                   if guarded then
                     Memsim.Hierarchy.guarded_load_attr mem ~attrib:tl.attrib
                       ~addr ~now:(now t) ~site:sid

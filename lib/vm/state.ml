@@ -387,15 +387,16 @@ let[@inline] prof_cycles t ~method_id ~pc ~bin ~cycles =
   | Some p -> p.on_cycles ~method_id ~pc ~bin ~cycles
   | None -> ()
 
-(* The packed program counter handed to the hierarchy: method id in the
-   high bits, bytecode pc in the low 16. This is the identity the RPT
-   hardware prefetcher indexes by, so it must be engine-invariant: the
-   switch engine passes [frame.pc - 1] (the executing pc — see
-   [prof_stall] above for the invariant), the closure engine bakes the
-   same compile-time pc into each handler (its uninstrumented variant
-   does not maintain [frame.pc] at run time). *)
+(* The packed program counter handed to the hierarchy
+   ([Telemetry.Attrib.pack_pc]: method id in the high bits, bytecode pc
+   in the low 16). This is the identity the RPT hardware prefetcher
+   indexes by, so it must be engine-invariant: the switch engine passes
+   [frame.pc - 1] (the executing pc — see [prof_stall] above for the
+   invariant), the closure engine bakes the same compile-time pc into
+   each handler (its uninstrumented variant does not maintain [frame.pc]
+   at run time). *)
 let[@inline] pack_pc (frame : Frame.t) ~pc =
-  (frame.method_info.method_id lsl 16) lor (pc land 0xffff)
+  Telemetry.Attrib.pack_pc ~method_id:frame.method_info.method_id ~pc
 
 let demand t frame ~pc ~obj ~addr ~kind =
   let pc = pack_pc frame ~pc in

@@ -3,7 +3,7 @@
     benchmark does, so the Token pointers carry no allocation-order stride
     while each Token keeps its co-allocated [facts] array at a constant
     offset. Used by the quickstart example and by the Table 1 / Figures
-    3-5 reproductions in [bench/main.exe]. *)
+    3-5 reproductions in [spf_bench paper]. *)
 
 val source : string
 

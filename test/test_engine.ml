@@ -184,6 +184,108 @@ let test_rerun_determinism () =
   let b = H.run ~engine:Vm.Interp.Closure ~mode ~machine w in
   check_same_run ~ctx:"rerun" a b
 
+(* Prefetch-site attribution across engines. The closure engine's
+   instrumented prefetch handlers memoise their dense site id; the switch
+   engine resolves it through the registry on every fire. Both must give
+   the same id -> key map and the same per-site counters. *)
+let show_books books =
+  List.mapi
+    (fun id (key, (c : Memsim.Attribution.site_counters)) ->
+      Format.asprintf
+        "%d %a: issued=%d cancelled=%d redundant=%d redundant_hw=%d \
+         useful=%d late=%d useless=%d"
+        id Telemetry.Attrib.pp_key key c.issued c.cancelled c.redundant
+        c.redundant_hw c.useful c.late c.useless)
+    books
+
+let check_same_books ~ctx sw cl =
+  Alcotest.(check (list string)) ctx (show_books sw) (show_books cl)
+
+let has_kind books p = List.exists (fun (key, _) -> p key) books
+
+let is_inter = function Telemetry.Attrib.Inter_site _ -> true | _ -> false
+let is_spec = function Telemetry.Attrib.Spec_site _ -> true | _ -> false
+
+let is_indirect = function
+  | Telemetry.Attrib.Indirect_site _ -> true
+  | _ -> false
+
+let is_dynamic = function
+  | Telemetry.Attrib.Dynamic_site _ -> true
+  | _ -> false
+
+(* Under INTER+INTRA on Pentium4, db fires spec and indirect prefetches
+   and Euler fires inter ones. *)
+let test_site_ids_engine_invariant () =
+  let books engine name =
+    let r =
+      H.run ~engine ~telemetry:true ~mode:Strideprefetch.Options.Inter_intra
+        ~machine:Memsim.Config.pentium4 (workload name)
+    in
+    List.map
+      (fun (row : Workloads.Effectiveness.site_row) ->
+        (row.key, row.counters))
+      (Option.get r.effectiveness).rows
+  in
+  let fired =
+    List.concat_map
+      (fun name ->
+        let sw = books Vm.Interp.Switch name in
+        check_same_books ~ctx:(name ^ " site books") sw
+          (books Vm.Interp.Closure name);
+        sw)
+      [ "db"; "Euler" ]
+  in
+  List.iter
+    (fun (kind, p) ->
+      Alcotest.(check bool) ("fires " ^ kind) true (has_kind fired p))
+    [ ("inter", is_inter); ("spec", is_spec); ("indirect", is_indirect) ]
+
+(* The phased configuration fires [Prefetch_dynamic]. Telemetry is armed
+   twice on one interpreter, with a fresh registry each time: the second
+   run reuses the closure engine's compiled handlers, whose memoised ids
+   belong to the first registry and must not leak into the second. *)
+let rearmed_books engine =
+  let program = Helpers.compile Test_strideprefetch.phased_workload_source in
+  let machine = Memsim.Config.pentium4 in
+  let options = { (Vm.Interp.default_options machine) with Vm.Interp.engine } in
+  let interp = Vm.Interp.create ~options machine program in
+  let opts =
+    {
+      Strideprefetch.Options.(with_mode Inter_intra default) with
+      Strideprefetch.Options.enable_phased = true;
+    }
+  in
+  let pipeline =
+    Jit.Pipeline.create
+      (Jit.Pipeline.standard_passes ()
+      @ [ Strideprefetch.Pass.make_pass ~opts ~interp () ])
+  in
+  Vm.Interp.set_compile_hook interp (fun _ m args ->
+      Jit.Pipeline.compile pipeline m args);
+  let arm () =
+    let registry = Telemetry.Attrib.create () in
+    Vm.Interp.set_telemetry interp ~registry ();
+    ignore (Vm.Interp.run interp);
+    Vm.Interp.finalize_telemetry interp;
+    let attrib = Option.get (Vm.Interp.attribution interp) in
+    List.init (Telemetry.Attrib.n_sites registry) (fun id ->
+        ( Telemetry.Attrib.key_of_id registry id,
+          Memsim.Attribution.site_counters attrib id ))
+  in
+  let first = arm () in
+  let second = arm () in
+  (first, second)
+
+let test_site_ids_rearmed_registry () =
+  let sw1, sw2 = rearmed_books Vm.Interp.Switch in
+  let cl1, cl2 = rearmed_books Vm.Interp.Closure in
+  Alcotest.(check bool) "phased fires dynamic" true (has_kind sw1 is_dynamic);
+  Alcotest.(check bool)
+    "second registry sees the dynamic site" true (has_kind sw2 is_dynamic);
+  check_same_books ~ctx:"first registry" sw1 cl1;
+  check_same_books ~ctx:"fresh registry on the same interpreter" sw2 cl2
+
 let suite =
   [
     Alcotest.test_case "bit-identity: workload x machine x mode" `Slow
@@ -195,4 +297,8 @@ let suite =
     Alcotest.test_case "budget exhaustion is engine-invariant" `Quick
       test_budget_exhaustion_is_engine_invariant;
     Alcotest.test_case "re-run determinism" `Quick test_rerun_determinism;
+    Alcotest.test_case "prefetch site ids: inter, spec, indirect" `Slow
+      test_site_ids_engine_invariant;
+    Alcotest.test_case "prefetch site ids: dynamic, re-armed registry"
+      `Quick test_site_ids_rearmed_registry;
   ]

@@ -416,3 +416,212 @@ let prop_cache_matches_reference =
 
 let suite =
   suite @ [ Helpers.qtest prop_cache_matches_reference ]
+
+(* --- model-based property test: attribution shadow tables -------------- *)
+
+(* The attribution layer's executable specification: association lists
+   that keep every entry, with an explicit touched flag. The real tables
+   drop an L1/L2 entry once a demand classifies it; random operation
+   sequences must still yield the same outcomes and per-site counters,
+   and [tracked_lines] must count exactly the untouched entries. *)
+module Reference_attribution = struct
+  module A = Memsim.Attribution
+
+  type entry = { site : int; mutable touched : bool }
+
+  type t = {
+    mutable l1 : (int * entry) list;
+    mutable l2 : (int * entry) list;
+    mutable hw : (int * bool ref) list;
+    sites : A.site_counters array;
+    mutable n_sites : int;
+  }
+
+  let create ~sites =
+    {
+      l1 = [];
+      l2 = [];
+      hw = [];
+      sites = Array.init sites (fun _ -> A.zero_counters ());
+      n_sites = 0;
+    }
+
+  let site t id =
+    t.n_sites <- max t.n_sites (id + 1);
+    t.sites.(id)
+
+  let useless t id =
+    let c = site t id in
+    c.A.useless <- c.A.useless + 1
+
+  let table t = function `L1 -> t.l1 | `L2 -> t.l2
+
+  let set_table t level l =
+    match level with `L1 -> t.l1 <- l | `L2 -> t.l2 <- l
+
+  let note_issue t id =
+    let c = site t id in
+    c.A.issued <- c.A.issued + 1
+
+  let note_fill t level line id =
+    let tbl = table t level in
+    (match List.assoc_opt line tbl with
+    | Some e when not e.touched -> useless t e.site
+    | Some _ | None -> ());
+    set_table t level
+      ((line, { site = id; touched = false }) :: List.remove_assoc line tbl)
+
+  let demand_resolve t level line ready =
+    match List.assoc_opt line (table t level) with
+    | Some e when not e.touched ->
+        e.touched <- true;
+        let c = site t e.site in
+        if ready then begin
+          c.A.useful <- c.A.useful + 1;
+          A.Useful
+        end
+        else begin
+          c.A.late <- c.A.late + 1;
+          A.Late
+        end
+    | Some _ | None -> A.Untracked
+
+  let demand_evict t level line =
+    let tbl = table t level in
+    match List.assoc_opt line tbl with
+    | Some e ->
+        if not e.touched then useless t e.site;
+        set_table t level (List.remove_assoc line tbl)
+    | None -> ()
+
+  let note_hw_fill t line =
+    t.hw <- (line, ref false) :: List.remove_assoc line t.hw
+
+  let hw_tracked t line = List.mem_assoc line t.hw
+
+  let hw_demand_resolve t line =
+    match List.assoc_opt line t.hw with
+    | Some r when not !r ->
+        r := true;
+        true
+    | Some _ | None -> false
+
+  let hw_demand_evict t line = t.hw <- List.remove_assoc line t.hw
+
+  let flush t =
+    List.iter
+      (fun (_, e) -> if not e.touched then useless t e.site)
+      (t.l1 @ t.l2);
+    t.l1 <- [];
+    t.l2 <- [];
+    t.hw <- []
+
+  let unclassified t =
+    List.length (List.filter (fun (_, e) -> not e.touched) (t.l1 @ t.l2))
+end
+
+type attr_op =
+  | Issue of int
+  | Fill of [ `L1 | `L2 ] * int * int
+  | Resolve of [ `L1 | `L2 ] * int * bool
+  | Evict of [ `L1 | `L2 ] * int
+  | Hw_fill of int
+  | Hw_tracked of int
+  | Hw_resolve of int
+  | Hw_evict of int
+  | Flush
+
+let attr_sites = 5
+
+let show_attr_op =
+  let lv = function `L1 -> "L1" | `L2 -> "L2" in
+  function
+  | Issue s -> Printf.sprintf "issue s%d" s
+  | Fill (l, line, s) -> Printf.sprintf "fill %s %d s%d" (lv l) line s
+  | Resolve (l, line, r) -> Printf.sprintf "resolve %s %d ready=%b" (lv l) line r
+  | Evict (l, line) -> Printf.sprintf "evict %s %d" (lv l) line
+  | Hw_fill line -> Printf.sprintf "hw_fill %d" line
+  | Hw_tracked line -> Printf.sprintf "hw_tracked %d" line
+  | Hw_resolve line -> Printf.sprintf "hw_resolve %d" line
+  | Hw_evict line -> Printf.sprintf "hw_evict %d" line
+  | Flush -> "flush"
+
+(* Few lines and sites, so refills, re-touches and evictions of the same
+   line are common. *)
+let attr_op_gen =
+  let open QCheck.Gen in
+  let line = int_bound 11 and site = int_bound (attr_sites - 1) in
+  let level = oneofl [ `L1; `L2 ] in
+  frequency
+    [
+      (3, map (fun s -> Issue s) site);
+      (6, map3 (fun l n s -> Fill (l, n, s)) level line site);
+      (6, map3 (fun l n r -> Resolve (l, n, r)) level line bool);
+      (3, map2 (fun l n -> Evict (l, n)) level line);
+      (2, map (fun n -> Hw_fill n) line);
+      (2, map (fun n -> Hw_tracked n) line);
+      (2, map (fun n -> Hw_resolve n) line);
+      (1, map (fun n -> Hw_evict n) line);
+      (1, return Flush);
+    ]
+
+let prop_attribution_matches_reference =
+  QCheck.Test.make
+    ~name:"attribution shadow tables agree with a keep-everything reference"
+    ~count:300
+    QCheck.(
+      make
+        ~print:(fun ops -> String.concat "; " (List.map show_attr_op ops))
+        Gen.(list_size (int_range 1 120) attr_op_gen))
+    (fun ops ->
+      let module A = Memsim.Attribution in
+      let module R = Reference_attribution in
+      let a = A.create () and r = R.create ~sites:attr_sites in
+      let same_books () =
+        A.n_sites a = r.R.n_sites
+        && List.for_all
+             (fun i -> A.site_counters a i = r.R.sites.(i))
+             (List.init attr_sites Fun.id)
+        && A.tracked_lines a = R.unclassified r
+      in
+      let step op =
+        (match op with
+        | Issue s ->
+            A.note_issue a ~site:s;
+            R.note_issue r s;
+            true
+        | Fill (level, line, s) ->
+            A.note_fill a ~level ~line ~site:s;
+            R.note_fill r level line s;
+            true
+        | Resolve (level, line, ready) ->
+            A.demand_resolve a ~level ~line ~ready
+            = R.demand_resolve r level line ready
+        | Evict (level, line) ->
+            A.demand_evict a ~level ~line;
+            R.demand_evict r level line;
+            true
+        | Hw_fill line ->
+            A.note_hw_fill a ~line;
+            R.note_hw_fill r line;
+            true
+        | Hw_tracked line -> A.hw_tracked a ~line = R.hw_tracked r line
+        | Hw_resolve line ->
+            A.hw_demand_resolve a ~line = R.hw_demand_resolve r line
+        | Hw_evict line ->
+            A.hw_demand_evict a ~line;
+            R.hw_demand_evict r line;
+            true
+        | Flush ->
+            A.flush a;
+            R.flush r;
+            true)
+        && same_books ()
+      in
+      List.for_all step ops
+      &&
+      (A.flush a;
+       R.flush r;
+       same_books () && A.tracked_lines a = 0))
+
+let suite = suite @ [ Helpers.qtest prop_attribution_matches_reference ]

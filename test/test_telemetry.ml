@@ -565,6 +565,75 @@ let test_jsonl_well_formed () =
             = Some (J.Int (Telemetry.Sink.dropped sink)))
       | _ -> Alcotest.fail "last line is not the summary object")
 
+(* ------------------------------------------------------------------ *)
+(* Observer-output goldens. MD5 digests of the profile export
+   (spf_prof/v1 JSON), the monitor's JSONL report and the per-site
+   effectiveness table, pinned on both engines. "Byte-identical across
+   runs" only compares two runs of one build; these catch a change in
+   bin contents, row order or site numbering between builds. To re-pin
+   after a deliberate output change, run the test and copy the digests
+   it reports. *)
+
+let observer_digests (r : H.run_result) =
+  let md5 s = Digest.to_hex (Digest.string s) in
+  let some name f = function
+    | Some x -> [ (name, md5 (f x)) ]
+    | None -> []
+  in
+  some "profile"
+    (fun p -> J.to_string (Profile.Report.to_json p))
+    r.H.profile
+  @ some "monitor"
+      (fun m -> String.concat "\n" (Monitor.Report.jsonl_lines m))
+      r.H.monitor
+  @ some "effectiveness" (Format.asprintf "%a" E.pp_table) r.H.effectiveness
+
+let observer_golden_cells =
+  let window = Monitor.Collector.default_window_cycles in
+  [
+    ( "db",
+      (fun engine ->
+        H.run ~engine ~profile:true ~monitor:window ~mode:O.Inter_intra
+          ~machine:Memsim.Config.pentium4 Workloads.Specjvm.db),
+      [
+        ("profile", "6d7803e8407a43f79a1e8894186b9f8f");
+        ("monitor", "8e438b2f341e1953fe81280e86729424");
+        ("effectiveness", "843f429feb0562fe75bc198d71074a13");
+      ] );
+    ( "Euler",
+      (fun engine ->
+        H.run ~engine ~profile:true ~monitor:window ~mode:O.Inter_intra
+          ~machine:Memsim.Config.pentium4 Workloads.Javagrande.euler),
+      [
+        ("profile", "1fbee14c3c5a6b3ffe1f562e6afba8ec");
+        ("monitor", "c4e9b4a08af0f7fd9df32467ee0f7413");
+        ("effectiveness", "35192fa812aa7cbf2f5d53c52cca36d7");
+      ] );
+    ( "PhaseShift",
+      (fun engine ->
+        H.run ~engine ~monitor:window ~mode:O.Inter_intra
+          ~machine:Memsim.Config.pentium4 Workloads.Phase.phaseshift),
+      [
+        ("monitor", "91e543da5226abb933446c5e8c22ec96");
+        ("effectiveness", "af2bfa3175f7439451379fa96fcc5c04");
+      ] );
+  ]
+
+let test_observer_goldens () =
+  List.iter
+    (fun (name, run, want) ->
+      List.iter
+        (fun (engine, ename) ->
+          let got = observer_digests (run engine) in
+          List.iter
+            (fun (output, digest) ->
+              Alcotest.(check (option string))
+                (Printf.sprintf "%s %s %s" name ename output)
+                (Some digest) (List.assoc_opt output got))
+            want)
+        [ (Vm.Interp.Switch, "switch"); (Vm.Interp.Closure, "closure") ])
+    observer_golden_cells
+
 let suite =
   [
     ("stats: canonical field list is complete", `Quick, test_stats_field_count);
@@ -583,4 +652,6 @@ let suite =
     ("provenance: evidence, explain records, spans", `Slow, test_provenance);
     ("export: chrome trace well-formed", `Slow, test_chrome_trace_well_formed);
     ("export: jsonl well-formed", `Slow, test_jsonl_well_formed);
+    ("golden: observer outputs pinned on both engines", `Slow,
+     test_observer_goldens);
   ]
