@@ -22,9 +22,9 @@ type cell_rec = {
       (** fields a report omits take their defaults, so older reports
           keep matching newer cells; see gate.mli *)
   blame : J.t option;
-      (** compact per-loop blame payload of a profiled cell (raw JSON,
-          ingested by [Diff.Rundata.of_bench_blame] when the gate needs
-          to explain a cycle regression) *)
+      (** blame payload of a profiled cell: its spf_run/v1 run record
+          without per-pc rows, raw (read by [Diff.Rundata.of_json] when
+          the gate needs to explain a cycle regression) *)
   seconds : float;
   cycles : int;
 }

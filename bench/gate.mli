@@ -24,11 +24,11 @@ type cell_rec = {
           there was), and [sw_threshold] / [prediction] / [knobs]
           [None] *)
   blame : Telemetry.Json.t option;
-      (** compact per-loop blame payload of a profiled cell, raw — fed
-          to [Diff.Rundata.of_bench_blame] when a failing gate explains
-          its cycle regressions; [None] for unprofiled cells and for
-          pre-blame reports (their cells keep matching: the payload is
-          not part of the key) *)
+      (** blame payload of a profiled cell — its spf_run/v1 run record
+          without per-pc rows — raw, read by [Diff.Rundata.of_json] when
+          a failing gate explains its cycle regressions; [None] for
+          unprofiled cells and for pre-blame reports (their cells keep
+          matching: the payload is not part of the key) *)
   seconds : float;
   cycles : int;
 }

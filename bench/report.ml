@@ -143,32 +143,16 @@ let effectiveness_json (eff : Workloads.Effectiveness.t) =
       ("kinds", J.List (List.map kind eff.kinds));
     ]
 
-(* Per-loop blame payload of a profiled cell: the profiler's loop rows
-   (stall bins + totals, the straight-line remainders included) plus GC
-   cycles — enough for spf_bench to reconstruct a two-sided per-loop
-   cycle-delta report when the gate fails (lib/diff ingests it via
-   Rundata.of_bench_blame). *)
-let blame_json (rep : Profile.Report.t) =
-  let loop (l : Profile.Report.loop_row) =
-    J.Obj
-      [
-        ("method", J.Str l.Profile.Report.l_method);
-        ("loop", J.Int l.l_loop);
-        ("depth", J.Int l.l_depth);
-        ("actions", J.Int l.l_actions);
-        ( "bins",
-          J.Obj
-            (List.map
-               (fun (name, get) -> (name, J.Int (get l.l_bins)))
-               Profile.Report.bin_fields) );
-        ("total", J.Int l.l_total);
-      ]
-  in
-  J.Obj
-    [
-      ("gc_cycles", J.Int rep.Profile.Report.gc_cycles);
-      ("loops", J.List (List.map loop rep.Profile.Report.loops));
-    ]
+(* The blame payload of a profiled cell: its run record with the per-pc
+   rows dropped — the loop rows, allocation sites, attribution and
+   provenance are what spf_bench's blame-on-failure diff reads back. *)
+let blame_json (t : Runner.timed) =
+  match Diff.Rundata.of_run ~config:(Runner.config t.cell) t.result with
+  | Error _ -> None
+  | Ok rd ->
+      Some
+        (Diff.Rundata.to_json
+           { rd with profile = { rd.profile with Profile.Report.pcs = [] } })
 
 (* Fields that only non-default cells carry (sweep provenance, the
    monitor flag, ablation knobs, the observer payloads) are omitted
@@ -193,7 +177,7 @@ let cell_json (t : Runner.timed) =
     @ opt "knobs" (fun k -> J.Str k) i.knobs
     @ [ ("seconds", J.Float t.seconds); ("cycles", J.Int t.result.H.cycles) ]
     @ opt "effectiveness" effectiveness_json t.result.H.effectiveness
-    @ opt "blame" blame_json t.result.H.profile)
+    @ opt "blame" Fun.id (blame_json t))
 
 (* Objects at the top two levels and arrays of objects are laid out one
    member per line; everything below stays on one line, so a report

@@ -136,6 +136,23 @@ let key i =
       suffix i.knobs;
     ]
 
+(* The cell as a run configuration. A sweep cell's hardware model rides
+   in its machine, and the ablation knobs other than the four axes have
+   no axis to go to. *)
+let config (c : cell) =
+  let opts = Option.value ~default:SP.Options.default c.opts in
+  {
+    Diff.Bisect.machine = c.machine;
+    mode = c.mode;
+    engine = c.engine;
+    passes = true;
+    hw = None;
+    prediction = opts.prediction;
+    threshold = opts.inter_stride_threshold;
+    phased = opts.enable_phased;
+    interproc = opts.inspect_calls;
+  }
+
 let workloads = Workloads.Specjvm.all @ Workloads.Javagrande.all
 let workload name = List.find (fun (w : W.t) -> w.name = name) workloads
 let machines = [ Memsim.Config.pentium4; Memsim.Config.athlon_mp ]

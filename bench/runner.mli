@@ -101,6 +101,12 @@ val key : id -> string
     field departs from its default — so canonical-matrix keys are the
     same as in every committed report. *)
 
+val config : cell -> Diff.Bisect.config
+(** The cell's run configuration — what its run record
+    ({!Diff.Rundata}) carries. Knobs other than the prediction tier,
+    threshold, phased and interprocedural axes have no axis and are not
+    represented. *)
+
 (** {2 The workload set} *)
 
 val workloads : Workloads.Workload.t list

@@ -159,42 +159,21 @@ let record ~jobs path =
    fresh profiled re-run of the regressed cell — where the cycles go
    now, even if the delta can't be split per loop. *)
 
-let blame_config (c : Gate.cell_rec) =
-  {
-    Diff.Rundata.c_workload = c.id.workload;
-    c_machine = c.id.machine;
-    c_mode = c.id.mode;
-    c_engine = c.id.engine;
-    c_hw = c.id.hw;
-    c_prediction = Option.value ~default:"inspect" c.id.prediction;
-    c_threshold = c.id.sw_threshold;
-    c_passes = true;
-    c_phased = false;
-    c_interproc = false;
-  }
-
 let rundata_of_cell name (c : Gate.cell_rec) =
   match c.Gate.blame with
-  | Some payload ->
-      Diff.Rundata.of_bench_blame ~config:(blame_config c)
-        ~cycles:c.Gate.cycles payload
+  | Some payload -> Diff.Rundata.of_json payload
   | None -> Error (name ^ " carries no blame payload")
 
 (* The one-sided fallback rendering: the fresh run's hottest loops. *)
 let print_one_sided (rd : Diff.Rundata.t) =
-  let loops =
-    List.sort
-      (fun (a : Diff.Rundata.loop) b -> compare b.lr_total a.lr_total)
-      rd.Diff.Rundata.loops
-  in
   List.iteri
-    (fun i (l : Diff.Rundata.loop) ->
+    (fun i (l : Profile.Report.loop_row) ->
       if i < 5 then
-        Printf.printf "  %s/%s: %d cycles\n" l.Diff.Rundata.lr_method
-          (if l.lr_loop < 0 then "(straight-line)"
-           else Printf.sprintf "loop%d" l.lr_loop)
-          l.lr_total)
-    loops
+        Printf.printf "  %s/%s: %d cycles\n" l.l_method
+          (if l.l_loop < 0 then "(straight-line)"
+           else Printf.sprintf "loop%d" l.l_loop)
+          l.l_total)
+    rd.profile.loops
 
 let max_explained = 3
 
@@ -260,12 +239,12 @@ let gate ?threshold ~jobs baseline_path =
     with
     | None -> Error "regressed cell not found in the fresh run"
     | Some t ->
-        let result =
+        let t =
           match t.result.H.profile with
-          | Some _ -> t.result
-          | None -> (Runner.run_cell { t.cell with profile = true }).result
+          | Some _ -> t
+          | None -> Runner.run_cell { t.cell with profile = true }
         in
-        Diff.Rundata.of_run ~config:(blame_config p.b) result
+        Diff.Rundata.of_run ~config:(Runner.config t.cell) t.result
   in
   compare_runs ?threshold ~rerun a b
 

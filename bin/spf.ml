@@ -27,8 +27,8 @@ let exits =
        assertion. Every $(b,--inject) self-test that is caught exits so."
   :: Cmd.Exit.info exit_input
        ~doc:
-         "bad input: an unknown workload, an unreadable file or a MiniJava \
-          compile error."
+         "bad input: an unknown workload, an unreadable or malformed file \
+          or a MiniJava compile error."
   :: Cmd.Exit.info exit_budget
        ~doc:"the run exhausted its step budget ($(b,--max-steps))."
   :: Cmd.Exit.defaults
@@ -335,7 +335,7 @@ let telemetry_view ~trace ~metrics (r : H.run_result) =
 
 (* Profiler view. Every simulated cycle lands in exactly one bin, so the
    tables must sum to the run's cycle count; refuse to print otherwise. *)
-let profile_view ~topdown ~objects ~loops ~loop ~folded ~json rep =
+let profile_view ~topdown ~objects ~loops ~loop ~folded rep =
   let top = 20 in
   Option.iter
     (fun msg -> die exit_finding "profiler conservation law broken: %s" msg)
@@ -352,12 +352,17 @@ let profile_view ~topdown ~objects ~loops ~loop ~folded ~json rep =
     (fun path ->
       write_file path (Profile.Report.folded rep);
       Printf.printf "folded stacks written to %s\n" path)
-    folded;
-  Option.iter
-    (fun path ->
-      write_json path (Profile.Report.to_json rep);
-      Printf.printf "profile JSON written to %s\n" path)
-    json
+    folded
+
+(* The run record: what [spf diff -a/-b] reads back. *)
+let record_of_run c (r : H.run_result) =
+  match Diff.Rundata.of_run ~config:c.axes r with
+  | Ok rd -> rd
+  | Error e -> die exit_finding "%s" e
+
+let write_record c r path =
+  write_json path (Diff.Rundata.to_json (record_of_run c r));
+  Printf.printf "run record written to %s (%s)\n" path Diff.Rundata.schema
 
 (* Monitor view: dashboard, JSONL time series, and the detection latency
    of a phase workload's planted shift, gated by [max_latency]. *)
@@ -412,9 +417,8 @@ let run_cmd =
     in
     print_result ~verbose:(verbose || explain) r;
     if telemetry then telemetry_view ~trace ~metrics r;
-    Option.iter
-      (profile_view ~topdown ~objects ~loops ~loop ~folded ~json)
-      r.profile;
+    Option.iter (profile_view ~topdown ~objects ~loops ~loop ~folded) r.profile;
+    Option.iter (write_record c r) json;
     Option.iter (monitor_view ~jsonl ~max_latency r) r.monitor
   in
   Cmd.v
@@ -468,7 +472,10 @@ let run_cmd =
       $ file_opt "folded"
           "Profiler: write flamegraph.pl collapsed stacks \
            (method;loop;pc:instr;bin count)."
-      $ file_opt "json" "Profiler: write the profile as JSON (spf_prof/v1)."
+      $ file_opt "json"
+          "Profiler: write the run record (spf_run/v1: configuration, \
+           profile, attribution totals and pass provenance) for \
+           $(b,spf diff -a/-b)."
       $ flag [ "check-invariants" ]
           "Assert the attribution and profiler conservation laws inside the \
            harness (implies $(b,--profile)); a breach exits 1."
@@ -520,11 +527,18 @@ let compare_cmd =
 
 let diff_cmd =
   let rundata_of_live c w =
-    let r = harness_run ~check:true ~profile:true c w in
-    let config = B.config_strings ~workload:r.workload c.axes in
-    match Diff.Rundata.of_run ~config r with
-    | Ok rd -> rd
-    | Error e -> die exit_finding "%s" e
+    record_of_run c (harness_run ~check:true ~profile:true c w)
+  in
+  (* A loaded record must be readable (exit 2 otherwise) and keep the
+     profiler's conservation law (exit 1): a blame over a record whose
+     bins do not sum to its cycles would explain nothing. *)
+  let load f =
+    match Diff.Rundata.load f with
+    | Error e -> die exit_input "%s" e
+    | Ok rd -> (
+        match Profile.Report.conservation_error rd.Diff.Rundata.profile with
+        | Some msg -> die exit_finding "%s: %s" f msg
+        | None -> rd)
   in
   let emit_blame ~json ~top blame =
     print_string (Diff.Blame.render ~top blame);
@@ -552,36 +566,24 @@ let diff_cmd =
           name
           (String.concat ", " (List.map B.axis_name axes))
   in
-  let main c no_passes workload vs bisect_flag expect_axis max_replays record
-      a_file b_file json top =
+  let main c no_passes workload vs bisect_flag expect_axis max_replays a_file
+      b_file json top =
     let c = { c with axes = { c.axes with passes = not no_passes } } in
     let workload () =
       match workload with
       | Some name -> workload_of name
       | None ->
           die Cmd.Exit.cli_error
-            "need --workload with --vs (live diff) or --record, or -a/-b \
-             (recorded diff)"
+            "need --workload with --vs (live diff), or -a/-b (recorded diff)"
     in
     let blame ~a ~b =
       emit_blame ~json ~top (Diff.Blame.build ~faults:c.faults ~a ~b ())
     in
-    match (record, a_file, b_file) with
-    | Some path, _, _ ->
-        let rd = rundata_of_live c (workload ()) in
-        write_json path (Diff.Rundata.to_json rd);
-        Printf.printf "snapshot written to %s (%s, %d cycles)\n" path
-          rd.Diff.Rundata.config.c_workload rd.Diff.Rundata.cycles
-    | None, Some fa, Some fb ->
-        let load f =
-          match Diff.Rundata.load f with
-          | Ok rd -> rd
-          | Error e -> die exit_input "%s" e
-        in
-        blame ~a:(load fa) ~b:(load fb)
-    | None, Some _, None | None, None, Some _ ->
+    match (a_file, b_file) with
+    | Some fa, Some fb -> blame ~a:(load fa) ~b:(load fb)
+    | Some _, None | None, Some _ ->
         die Cmd.Exit.cli_error "-a and -b go together"
-    | None, None, None -> (
+    | None, None -> (
         let w = workload () in
         let b =
           match vs with
@@ -614,7 +616,7 @@ let diff_cmd =
              breaks (exit 1)."
       $ flag [ "no-passes" ] "Disable the standard JIT passes in the base run."
       $ opt Arg.string [ "w"; "workload" ] "WORKLOAD"
-          "Workload or MiniJava file to run (live diffs and $(b,--record))."
+          "Workload or MiniJava file to run (live diffs)."
       $ opt Arg.string [ "vs" ] "KEY=VALUE[,...]"
           "The B side: the base configuration with these axes overridden, \
            named like the flags: $(b,machine), $(b,mode), $(b,engine), \
@@ -630,12 +632,11 @@ let diff_cmd =
            $(docv)."
       $ opt Arg.int [ "max-replays" ] "N"
           "With $(b,--bisect): exit 1 if more than $(docv) replays were spent."
-      $ file_opt "record"
-          "Run the base configuration once, profiled, and write its \
-           spf_diff/v1 snapshot to $(docv)."
       $ opt Arg.string [ "a" ] "FILE"
-          "Baseline snapshot (spf_diff/v1 or spf_prof/v1)."
-      $ opt Arg.string [ "b" ] "FILE" "New snapshot to diff against $(b,-a)."
+          "Baseline run record, as written by $(b,spf run --json) \
+           (spf_run/v1; the older spf_prof/v1 and spf_diff/v1 files load \
+           too)."
+      $ opt Arg.string [ "b" ] "FILE" "New run record to diff against $(b,-a)."
       $ file_opt "json" "Also write the blame report as JSON."
       $ Arg.(
           value & opt int 10

@@ -176,20 +176,6 @@ let apply_overrides c spec =
       (fun acc kv -> Result.bind acc (fun c -> parse_one c kv))
       (Ok c) parts
 
-let config_strings ~workload c =
-  {
-    Rundata.c_workload = workload;
-    c_machine = c.machine.C.name;
-    c_mode = O.mode_name c.mode;
-    c_engine = Vm.Interp.engine_name c.engine;
-    c_hw = C.hw_prefetch_to_string (resolved_hw c);
-    c_prediction = O.prediction_name c.prediction;
-    c_threshold = c.threshold;
-    c_passes = c.passes;
-    c_phased = c.phased;
-    c_interproc = c.interproc;
-  }
-
 (* Bisection ----------------------------------------------------------- *)
 
 type outcome = {

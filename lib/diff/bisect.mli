@@ -73,9 +73,6 @@ val apply_overrides : config -> string -> (config, string) result
     [threshold] accepts an integer or [default]; [phased],
     [interprocedural] and [passes] accept [on]/[off]. *)
 
-val config_strings : workload:string -> config -> Rundata.config
-(** The {!Rundata.config} stamp of a snapshot made under this config. *)
-
 type outcome = {
   cycles_a : int;
   cycles_b : int;

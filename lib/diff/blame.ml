@@ -1,5 +1,6 @@
 module J = Telemetry.Json
 module T = Telemetry.Table
+module R = Profile.Report
 
 type loop_delta = {
   d_method : string;
@@ -42,7 +43,11 @@ type t = {
   provenance : prov_delta list;
 }
 
-let n_bins = List.length Rundata.bin_names
+let bin_names = List.map fst R.bin_fields
+
+(* Per-bin [b - a] in {!Profile.Report.bin_fields} order. *)
+let bin_delta (a : Profile.Collector.bins) (b : Profile.Collector.bins) =
+  Array.of_list (List.map (fun (_, get) -> get b - get a) R.bin_fields)
 
 (* Outer join of two association lists keyed by [key], preserving every
    key of either side. *)
@@ -62,28 +67,27 @@ let by_magnitude delta tie a b =
   let c = compare (abs (delta b)) (abs (delta a)) in
   if c <> 0 then c else compare (tie a) (tie b)
 
-let loop_deltas (a : Rundata.t) (b : Rundata.t) =
+let loop_deltas (a : R.t) (b : R.t) =
   outer_join
-    ~key:(fun (l : Rundata.loop) -> (l.lr_method, l.lr_loop))
+    ~key:(fun (l : R.loop_row) -> (l.l_method, l.l_loop))
     a.loops b.loops
   |> List.map (fun ((m, id), pair) ->
          let bins_of = function
-           | Some (l : Rundata.loop) -> l.lr_bins
-           | None -> Array.make n_bins 0
+           | Some (l : R.loop_row) -> l.l_bins
+           | None -> Profile.Collector.zero_bins ()
          in
          let total_of = function
-           | Some (l : Rundata.loop) -> l.lr_total
+           | Some (l : R.loop_row) -> l.l_total
            | None -> 0
          in
          let la, lb = pair in
-         let ba = bins_of la and bb = bins_of lb in
          {
            d_method = m;
            d_loop = id;
            d_a_total = total_of la;
            d_b_total = total_of lb;
            d_delta = total_of lb - total_of la;
-           d_bins = Array.init n_bins (fun i -> bb.(i) - ba.(i));
+           d_bins = bin_delta (bins_of la) (bins_of lb);
            d_only =
              (match pair with
              | Some _, Some _ -> `Both
@@ -93,16 +97,13 @@ let loop_deltas (a : Rundata.t) (b : Rundata.t) =
   |> List.sort
        (by_magnitude (fun d -> d.d_delta) (fun d -> (d.d_method, d.d_loop)))
 
-let site_deltas (a : Rundata.t) (b : Rundata.t) =
+let site_deltas (a : R.t) (b : R.t) =
   outer_join
-    ~key:(fun (s : Rundata.site) -> (s.s_method, s.s_pc))
-    a.sites b.sites
+    ~key:(fun (o : R.obj_row) -> (o.alloc_method, o.alloc_pc))
+    a.objects b.objects
   |> List.map (fun ((m, pc), (sa, sb)) ->
-         let stall = function Some (s : Rundata.site) -> s.s_total | None -> 0 in
-         let allocs = function
-           | Some (s : Rundata.site) -> s.s_allocs
-           | None -> 0
-         in
+         let stall = function Some (o : R.obj_row) -> o.o_total | None -> 0 in
+         let allocs = function Some (o : R.obj_row) -> o.allocs | None -> 0 in
          {
            sd_method = m;
            sd_pc = pc;
@@ -118,15 +119,9 @@ let attribution_deltas (a : Rundata.t) (b : Rundata.t) =
   match (a.attribution, b.attribution) with
   | Some x, Some y ->
       Some
-        [
-          ("issued", x.a_issued, y.a_issued);
-          ("useful", x.a_useful, y.a_useful);
-          ("late", x.a_late, y.a_late);
-          ("useless", x.a_useless, y.a_useless);
-          ("cancelled", x.a_cancelled, y.a_cancelled);
-          ("redundant", x.a_redundant, y.a_redundant);
-          ("redundant_hw", x.a_redundant_hw, y.a_redundant_hw);
-        ]
+        (List.map
+           (fun (name, get) -> (name, get x, get y))
+           Rundata.attribution_fields)
   | _ -> None
 
 let inspection_state (p : Rundata.prov) =
@@ -192,7 +187,8 @@ let prov_deltas (a : Rundata.t) (b : Rundata.t) =
            compare (x.pd_method, x.pd_loop) (y.pd_method, y.pd_loop))
 
 let build ?(faults = Vm.Fault.none) ~(a : Rundata.t) ~(b : Rundata.t) () =
-  let loops = loop_deltas a b in
+  let pa = a.profile and pb = b.profile in
+  let loops = loop_deltas pa pb in
   let loops =
     if not (Vm.Fault.mem Vm.Fault.Diff_desync faults) then loops
     else
@@ -205,11 +201,11 @@ let build ?(faults = Vm.Fault.none) ~(a : Rundata.t) ~(b : Rundata.t) () =
   {
     a;
     b;
-    total_delta = b.cycles - a.cycles;
-    gc_delta = b.gc_cycles - a.gc_cycles;
-    bin_deltas = Array.init n_bins (fun i -> b.totals.(i) - a.totals.(i));
+    total_delta = pb.cycles - pa.cycles;
+    gc_delta = pb.gc_cycles - pa.gc_cycles;
+    bin_deltas = bin_delta pa.totals pb.totals;
     loops;
-    sites = site_deltas a b;
+    sites = site_deltas pa pb;
     attribution = attribution_deltas a b;
     provenance = prov_deltas a b;
   }
@@ -240,46 +236,50 @@ let loop_name d =
   if d.d_loop = -1 then Printf.sprintf "%s/(straight-line)" d.d_method
   else Printf.sprintf "%s/loop%d" d.d_method d.d_loop
 
-let config_line (c : Rundata.config) =
-  Printf.sprintf "%s %s %s %s hw=%s pred=%s thr=%s passes=%s" c.c_workload
-    c.c_machine c.c_mode c.c_engine c.c_hw c.c_prediction
-    (match c.c_threshold with None -> "default" | Some n -> string_of_int n)
-    (if c.c_passes then "on" else "off")
-  ^ (if c.c_phased then " phased=on" else "")
-  ^ if c.c_interproc then " interprocedural=on" else ""
+(* The workload, then every axis as a [--vs] override would spell it. *)
+let config_line (rd : Rundata.t) =
+  match rd.config with
+  | None -> rd.workload ^ " (configuration not recorded)"
+  | Some c ->
+      String.concat " "
+        (rd.workload
+        :: List.map
+             (fun ax -> Bisect.axis_name ax ^ "=" ^ Bisect.axis_value c ax)
+             Bisect.all_axes)
 
 let render ?(top = 10) t =
   let buf = Buffer.create 4096 in
   let line fmt = Printf.ksprintf (fun s -> Buffer.add_string buf (s ^ "\n")) fmt in
-  line "A: %s" (config_line t.a.config);
-  line "B: %s" (config_line t.b.config);
-  line "cycles: A=%d  B=%d  delta=%s (%s)" t.a.cycles t.b.cycles
+  let pa = t.a.profile and pb = t.b.profile in
+  line "A: %s" (config_line t.a);
+  line "B: %s" (config_line t.b);
+  line "cycles: A=%d  B=%d  delta=%s (%s)" pa.cycles pb.cycles
     (signed t.total_delta)
-    (pct_of_total t.total_delta t.a.cycles);
-  line "gc:     A=%d  B=%d  delta=%s" t.a.gc_cycles t.b.gc_cycles
+    (pct_of_total t.total_delta pa.cycles);
+  line "gc:     A=%d  B=%d  delta=%s" pa.gc_cycles pb.gc_cycles
     (signed t.gc_delta);
   Buffer.add_string buf "\n";
   (* Whole-run bin deltas. *)
   let bins = T.make ~columns:[ ("bin", T.Left); ("A", T.Right); ("B", T.Right);
                                ("delta", T.Right); ("of A", T.Right) ] in
   List.iteri
-    (fun i name ->
+    (fun i (name, get) ->
       T.add_row bins
         [
           name;
-          T.cell_int t.a.totals.(i);
-          T.cell_int t.b.totals.(i);
+          T.cell_int (get pa.totals);
+          T.cell_int (get pb.totals);
           signed t.bin_deltas.(i);
-          pct_of_total t.bin_deltas.(i) t.a.cycles;
+          pct_of_total t.bin_deltas.(i) pa.cycles;
         ])
-    Rundata.bin_names;
+    R.bin_fields;
   T.add_row bins
-    [ "gc"; T.cell_int t.a.gc_cycles; T.cell_int t.b.gc_cycles;
-      signed t.gc_delta; pct_of_total t.gc_delta t.a.cycles ];
+    [ "gc"; T.cell_int pa.gc_cycles; T.cell_int pb.gc_cycles;
+      signed t.gc_delta; pct_of_total t.gc_delta pa.cycles ];
   T.add_sep bins;
   T.add_row bins
-    [ "total"; T.cell_int t.a.cycles; T.cell_int t.b.cycles;
-      signed t.total_delta; pct_of_total t.total_delta t.a.cycles ];
+    [ "total"; T.cell_int pa.cycles; T.cell_int pb.cycles;
+      signed t.total_delta; pct_of_total t.total_delta pa.cycles ];
   Buffer.add_string buf (T.to_string bins);
   Buffer.add_string buf "\n\n";
   (* Loop blame: dominant bin named per loop; a remainder row keeps the
@@ -311,7 +311,7 @@ let render ?(top = 10) t =
           d.d_bins;
         if !besti < 0 then "-"
         else
-          Printf.sprintf "%s %s" (List.nth Rundata.bin_names !besti)
+          Printf.sprintf "%s %s" (List.nth bin_names !besti)
             (signed !best)
       in
       let note =
@@ -419,7 +419,7 @@ let to_json t =
         ("delta", J.Int d.d_delta);
         ( "bins",
           J.Obj
-            (List.mapi (fun i n -> (n, J.Int d.d_bins.(i))) Rundata.bin_names)
+            (List.mapi (fun i n -> (n, J.Int d.d_bins.(i))) bin_names)
         );
       ]
   in
@@ -458,7 +458,7 @@ let to_json t =
       ("gc_delta", J.Int t.gc_delta);
       ( "bin_deltas",
         J.Obj
-          (List.mapi (fun i n -> (n, J.Int t.bin_deltas.(i))) Rundata.bin_names)
+          (List.mapi (fun i n -> (n, J.Int t.bin_deltas.(i))) bin_names)
       );
       ("loops", J.List (List.map loop_json t.loops));
       ("sites", J.List (List.map site_json t.sites));

@@ -1,4 +1,4 @@
-(** The blame report: two {!Rundata} snapshots joined into per-loop and
+(** The blame report: two {!Rundata} run records joined into per-loop and
     per-allocation-site cycle deltas decomposed by profiler stall bin,
     attribution-class deltas, and pass-decision provenance diffs.
 
@@ -10,7 +10,7 @@
 
     exactly, to the cycle. Each side's profiler law guarantees it for
     internally-consistent inputs, so a breach means a corrupted or
-    hand-edited snapshot — or a bug in this join — and {!check} reports
+    hand-edited record — or a bug in this join — and {!check} reports
     it. The per-site table is an overlapping object-centric view of the
     same stalls and is not part of the law. *)
 
@@ -20,7 +20,7 @@ type loop_delta = {
   d_a_total : int;  (** 0 when the loop exists only in B *)
   d_b_total : int;
   d_delta : int;
-  d_bins : int array;  (** per-bin deltas, {!Rundata.bin_names} order *)
+  d_bins : int array;  (** per-bin deltas, {!Profile.Report.bin_fields} order *)
   d_only : [ `Both | `Only_a | `Only_b ];
 }
 
@@ -62,7 +62,7 @@ type t = {
 }
 
 val build : ?faults:Vm.Fault.set -> a:Rundata.t -> b:Rundata.t -> unit -> t
-(** Join the two snapshots. The [Diff_desync] fault in [faults] (default
+(** Join the two records. The [Diff_desync] fault in [faults] (default
     none) perturbs one loop's delta by a cycle after the join, so
     {!check} must report a breach — proving the conservation check can
     actually fail. *)

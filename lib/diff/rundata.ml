@@ -1,63 +1,4 @@
 module J = Telemetry.Json
-module R = Profile.Report
-
-type config = {
-  c_workload : string;
-  c_machine : string;
-  c_mode : string;
-  c_engine : string;
-  c_hw : string;
-  c_prediction : string;
-  c_threshold : int option;
-  c_passes : bool;
-  c_phased : bool;
-  c_interproc : bool;
-}
-
-let unknown_config =
-  {
-    c_workload = "?";
-    c_machine = "?";
-    c_mode = "?";
-    c_engine = "?";
-    c_hw = "?";
-    c_prediction = "?";
-    c_threshold = None;
-    c_passes = true;
-    c_phased = false;
-    c_interproc = false;
-  }
-
-type loop = {
-  lr_method : string;
-  lr_loop : int;
-  lr_depth : int;
-  lr_bins : int array;
-  lr_total : int;
-  lr_actions : int;
-}
-
-type site = {
-  s_method : string;
-  s_pc : int;
-  s_allocs : int;
-  s_bytes : int;
-  s_tlb : int;
-  s_l1 : int;
-  s_l2 : int;
-  s_mem : int;
-  s_total : int;
-}
-
-type attribution = {
-  a_issued : int;
-  a_cancelled : int;
-  a_redundant : int;
-  a_redundant_hw : int;
-  a_useful : int;
-  a_late : int;
-  a_useless : int;
-}
 
 type prov = {
   p_method : string;
@@ -73,32 +14,29 @@ type prov = {
 }
 
 type t = {
-  config : config;
-  cycles : int;
-  gc_cycles : int;
-  totals : int array;
-  loops : loop list;
-  sites : site list;
-  attribution : attribution option;
+  workload : string;
+  config : Bisect.config option;
+  profile : Profile.Report.t;
+  attribution : Memsim.Attribution.site_counters option;
   provenance : prov list;
 }
 
-let bin_names = List.map fst R.bin_fields
-let bins_array bins = Array.of_list (List.map (fun (_, get) -> get bins) R.bin_fields)
+let schema = "spf_run/v1"
+
+let attribution_fields =
+  Memsim.Attribution.
+    [
+      ("issued", fun c -> c.issued);
+      ("useful", fun c -> c.useful);
+      ("late", fun c -> c.late);
+      ("useless", fun c -> c.useless);
+      ("cancelled", fun c -> c.cancelled);
+      ("redundant", fun c -> c.redundant);
+      ("redundant_hw", fun c -> c.redundant_hw);
+    ]
 
 (* ------------------------------------------------------------------ *)
 (* From a live harness run.                                            *)
-
-let attribution_of_counters (c : Memsim.Attribution.site_counters) =
-  {
-    a_issued = c.issued;
-    a_cancelled = c.cancelled;
-    a_redundant = c.redundant;
-    a_redundant_hw = c.redundant_hw;
-    a_useful = c.useful;
-    a_late = c.late;
-    a_useless = c.useless;
-  }
 
 (* One provenance record per (method, loop). A method recompile would
    contribute two pass reports for the same loop; merge them so the join
@@ -148,212 +86,119 @@ let provenance_of_reports reports =
 let of_run ~config (r : Workloads.Harness.run_result) =
   match r.profile with
   | None -> Error "run carries no profile (made without ~profile:true)"
-  | Some rep ->
-      let loops =
-        List.map
-          (fun (l : R.loop_row) ->
-            {
-              lr_method = l.l_method;
-              lr_loop = l.l_loop;
-              lr_depth = l.l_depth;
-              lr_bins = bins_array l.l_bins;
-              lr_total = l.l_total;
-              lr_actions = l.l_actions;
-            })
-          rep.loops
-      in
-      let sites =
-        List.map
-          (fun (o : R.obj_row) ->
-            {
-              s_method = o.alloc_method;
-              s_pc = o.alloc_pc;
-              s_allocs = o.allocs;
-              s_bytes = o.alloc_bytes;
-              s_tlb = o.o_tlb;
-              s_l1 = o.o_l1;
-              s_l2 = o.o_l2;
-              s_mem = o.o_mem;
-              s_total = o.o_total;
-            })
-          rep.objects
-      in
-      let attribution =
-        Option.map
-          (fun (eff : Workloads.Effectiveness.t) ->
-            attribution_of_counters eff.totals)
-          r.effectiveness
-      in
+  | Some profile ->
       Ok
         {
-          config;
-          cycles = rep.cycles;
-          gc_cycles = rep.gc_cycles;
-          totals = bins_array rep.totals;
-          loops;
-          sites;
-          attribution;
+          workload = r.workload;
+          config = Some config;
+          profile;
+          attribution =
+            Option.map
+              (fun (eff : Workloads.Effectiveness.t) -> eff.totals)
+              r.effectiveness;
           provenance = provenance_of_reports r.reports;
         }
 
 (* ------------------------------------------------------------------ *)
 (* JSON.                                                               *)
 
-let schema = "spf_diff/v1"
+let config_json c =
+  J.Obj
+    (List.map
+       (fun ax -> (Bisect.axis_name ax, J.Str (Bisect.axis_value c ax)))
+       Bisect.all_axes)
 
-let json_of_bin_array a =
-  J.Obj (List.mapi (fun i n -> (n, J.Int a.(i))) bin_names)
-
-let to_json t =
-  let config_json c =
-    J.Obj
-      [
-        ("workload", J.Str c.c_workload);
-        ("machine", J.Str c.c_machine);
-        ("mode", J.Str c.c_mode);
-        ("engine", J.Str c.c_engine);
-        ("hw", J.Str c.c_hw);
-        ("prediction", J.Str c.c_prediction);
-        ( "threshold",
-          match c.c_threshold with None -> J.Null | Some n -> J.Int n );
-        ("passes", J.Bool c.c_passes);
-        ("phased", J.Bool c.c_phased);
-        ("interprocedural", J.Bool c.c_interproc);
-      ]
-  in
-  let loop_json l =
-    J.Obj
-      [
-        ("method", J.Str l.lr_method);
-        ("loop", J.Int l.lr_loop);
-        ("depth", J.Int l.lr_depth);
-        ("actions", J.Int l.lr_actions);
-        ("bins", json_of_bin_array l.lr_bins);
-        ("total", J.Int l.lr_total);
-      ]
-  in
-  let site_json s =
-    J.Obj
-      [
-        ("method", J.Str s.s_method);
-        ("pc", J.Int s.s_pc);
-        ("allocs", J.Int s.s_allocs);
-        ("bytes", J.Int s.s_bytes);
-        ("tlb", J.Int s.s_tlb);
-        ("l1", J.Int s.s_l1);
-        ("l2", J.Int s.s_l2);
-        ("mem", J.Int s.s_mem);
-        ("stall", J.Int s.s_total);
-      ]
-  in
-  let attribution_json a =
-    J.Obj
-      [
-        ("issued", J.Int a.a_issued);
-        ("cancelled", J.Int a.a_cancelled);
-        ("redundant", J.Int a.a_redundant);
-        ("redundant_hw", J.Int a.a_redundant_hw);
-        ("useful", J.Int a.a_useful);
-        ("late", J.Int a.a_late);
-        ("useless", J.Int a.a_useless);
-      ]
-  in
-  let prov_json p =
-    J.Obj
-      [
-        ("method", J.Str p.p_method);
-        ("loop", J.Int p.p_loop);
-        ("actions", J.List (List.map (fun a -> J.Str a) p.p_actions));
-        ("rejected", J.Int p.p_rejected);
-        ("promoted", J.Bool p.p_promoted);
-        ("low_trip", J.Bool p.p_low_trip);
-        ("iterations", J.Int p.p_iterations);
-        ("steps", J.Int p.p_steps);
-        ("skipped", J.Bool p.p_skipped);
-        ("shortened", J.Bool p.p_shortened);
-      ]
-  in
+let prov_json p =
   J.Obj
     [
-      ("schema", J.Str schema);
-      ("config", config_json t.config);
-      ("cycles", J.Int t.cycles);
-      ("gc_cycles", J.Int t.gc_cycles);
-      ("totals", json_of_bin_array t.totals);
-      ("loops", J.List (List.map loop_json t.loops));
-      ("objects", J.List (List.map site_json t.sites));
-      ( "attribution",
-        match t.attribution with None -> J.Null | Some a -> attribution_json a
-      );
-      ("provenance", J.List (List.map prov_json t.provenance));
+      ("method", J.Str p.p_method);
+      ("loop", J.Int p.p_loop);
+      ("actions", J.List (List.map (fun a -> J.Str a) p.p_actions));
+      ("rejected", J.Int p.p_rejected);
+      ("promoted", J.Bool p.p_promoted);
+      ("low_trip", J.Bool p.p_low_trip);
+      ("iterations", J.Int p.p_iterations);
+      ("steps", J.Int p.p_steps);
+      ("skipped", J.Bool p.p_skipped);
+      ("shortened", J.Bool p.p_shortened);
     ]
 
-(* Lenient readers in the gate parser's spirit: absent numeric fields
-   default to 0, absent strings to "?" — older snapshots keep loading. *)
+let to_json t =
+  let opt f = function None -> J.Null | Some x -> f x in
+  J.Obj
+    ([
+       ("schema", J.Str schema);
+       ("workload", J.Str t.workload);
+       ("config", opt config_json t.config);
+     ]
+    @ Profile.Report.members t.profile
+    @ [
+        ( "attribution",
+          opt
+            (fun c ->
+              J.Obj
+                (List.map
+                   (fun (name, get) -> (name, J.Int (get c)))
+                   attribution_fields))
+            t.attribution );
+        ("provenance", J.List (List.map prov_json t.provenance));
+      ])
+
+(* Lenient field readers: an absent number reads as 0, an absent string
+   as "?", an absent flag as false. *)
 let mem_str name v =
   match J.member name v with Some (J.Str s) -> s | _ -> "?"
 
 let mem_int name v = match J.member name v with Some (J.Int i) -> i | _ -> 0
 
-let mem_bool ~default name v =
-  match J.member name v with Some (J.Bool b) -> b | _ -> default
+let mem_bool name v =
+  match J.member name v with Some (J.Bool b) -> b | _ -> false
 
 let mem_list name v = match J.member name v with Some (J.List l) -> l | _ -> []
 
-let bins_of_json v =
-  match v with
-  | Some bins -> Array.of_list (List.map (fun n -> mem_int n bins) bin_names)
-  | None -> Array.make (List.length bin_names) 0
+(* Each config member is one [--vs] override, applied in file order to
+   the default config. spf_diff/v1 wrote some values as JSON booleans,
+   integers and null; they mean on/off, N and default. A hardware model
+   equal to the machine's own reads back as [None] (the machine
+   default), the form every run configuration starts from. *)
+let config_of_json = function
+  | J.Obj members -> (
+      let value = function
+        | J.Str s -> Some s
+        | J.Bool b -> Some (if b then "on" else "off")
+        | J.Int n -> Some (string_of_int n)
+        | J.Null -> Some "default"
+        | _ -> None
+      in
+      let apply acc (key, v) =
+        Result.bind acc (fun c ->
+            if key = "workload" then Ok c
+            else
+              match value v with
+              | Some v -> Bisect.apply_overrides c (key ^ "=" ^ v)
+              | None -> Error (Printf.sprintf "ill-typed value for %S" key))
+      in
+      match List.fold_left apply (Ok Bisect.default_config) members with
+      | Ok ({ hw = Some hw; _ } as c) when hw = c.machine.hw_prefetch ->
+          Ok (Some { c with hw = None })
+      | Ok c -> Ok (Some c)
+      | Error e -> Error ("config: " ^ e))
+  | J.Null -> Ok None
+  | _ -> Error "config: not an object"
 
-let loop_of_json v =
-  {
-    lr_method = mem_str "method" v;
-    lr_loop = mem_int "loop" v;
-    lr_depth = mem_int "depth" v;
-    lr_bins = bins_of_json (J.member "bins" v);
-    lr_total = mem_int "total" v;
-    lr_actions =
-      (match J.member "actions" v with Some (J.Int i) -> i | _ -> -1);
-  }
-
-let site_of_json v =
-  {
-    s_method = mem_str "method" v;
-    s_pc = mem_int "pc" v;
-    s_allocs = mem_int "allocs" v;
-    s_bytes = mem_int "bytes" v;
-    s_tlb = mem_int "tlb" v;
-    s_l1 = mem_int "l1" v;
-    s_l2 = mem_int "l2" v;
-    s_mem = mem_int "mem" v;
-    s_total = mem_int "stall" v;
-  }
-
-let config_of_json v =
-  {
-    c_workload = mem_str "workload" v;
-    c_machine = mem_str "machine" v;
-    c_mode = mem_str "mode" v;
-    c_engine = mem_str "engine" v;
-    c_hw = mem_str "hw" v;
-    c_prediction = mem_str "prediction" v;
-    c_threshold =
-      (match J.member "threshold" v with Some (J.Int i) -> Some i | _ -> None);
-    c_passes = mem_bool ~default:true "passes" v;
-    c_phased = mem_bool ~default:false "phased" v;
-    c_interproc = mem_bool ~default:false "interprocedural" v;
-  }
-
-let attribution_of_json v =
-  {
-    a_issued = mem_int "issued" v;
-    a_cancelled = mem_int "cancelled" v;
-    a_redundant = mem_int "redundant" v;
-    a_redundant_hw = mem_int "redundant_hw" v;
-    a_useful = mem_int "useful" v;
-    a_late = mem_int "late" v;
-    a_useless = mem_int "useless" v;
-  }
+let attribution_of_json = function
+  | J.Obj _ as v ->
+      Some
+        {
+          Memsim.Attribution.issued = mem_int "issued" v;
+          cancelled = mem_int "cancelled" v;
+          redundant = mem_int "redundant" v;
+          redundant_hw = mem_int "redundant_hw" v;
+          useful = mem_int "useful" v;
+          late = mem_int "late" v;
+          useless = mem_int "useless" v;
+        }
+  | _ -> None
 
 let prov_of_json v =
   {
@@ -364,78 +209,45 @@ let prov_of_json v =
         (function J.Str s -> Some s | _ -> None)
         (mem_list "actions" v);
     p_rejected = mem_int "rejected" v;
-    p_promoted = mem_bool ~default:false "promoted" v;
-    p_low_trip = mem_bool ~default:false "low_trip" v;
+    p_promoted = mem_bool "promoted" v;
+    p_low_trip = mem_bool "low_trip" v;
     p_iterations = mem_int "iterations" v;
     p_steps = mem_int "steps" v;
-    p_skipped = mem_bool ~default:false "skipped" v;
-    p_shortened = mem_bool ~default:false "shortened" v;
+    p_skipped = mem_bool "skipped" v;
+    p_shortened = mem_bool "shortened" v;
   }
 
-let of_json v =
-  match J.member "schema" v with
-  | Some (J.Str s) when s = schema || s = "spf_prof/v1" ->
-      let config =
-        match J.member "config" v with
-        | Some c -> config_of_json c
-        | None -> unknown_config
-      in
-      let attribution =
-        match J.member "attribution" v with
-        | Some (J.Obj _ as a) -> Some (attribution_of_json a)
-        | _ -> None
-      in
-      Ok
-        {
-          config;
-          cycles = mem_int "cycles" v;
-          gc_cycles = mem_int "gc_cycles" v;
-          totals = bins_of_json (J.member "totals" v);
-          loops = List.map loop_of_json (mem_list "loops" v);
-          sites = List.map site_of_json (mem_list "objects" v);
-          attribution;
-          provenance = List.map prov_of_json (mem_list "provenance" v);
-        }
-  | Some (J.Str s) ->
-      Error
-        (Printf.sprintf "unsupported schema %S (expected %s or spf_prof/v1)" s
-           schema)
-  | _ -> Error "snapshot has no schema field"
+let ( let* ) = Result.bind
 
-(* The compact per-cell blame payload of a bench_hotpath/v2 report:
-   {"gc_cycles": N, "loops": [...]} with loops in the snapshot spelling.
-   The run's bin totals are the loop rows summed — the profiler puts
-   every cycle in exactly one loop row (straight-line remainders are the
-   loop = -1 rows), so the reconstruction is exact and the blame
-   conservation law carries over. *)
-let of_bench_blame ~config ~cycles v =
-  match J.member "loops" v with
-  | Some (J.List loop_rows) ->
-      let loops = List.map loop_of_json loop_rows in
-      let totals = Array.make (List.length bin_names) 0 in
-      List.iter
-        (fun l -> Array.iteri (fun i n -> totals.(i) <- totals.(i) + n) l.lr_bins)
-        loops;
-      Ok
-        {
-          config;
-          cycles;
-          gc_cycles = mem_int "gc_cycles" v;
-          totals;
-          loops;
-          sites = [];
-          attribution = None;
-          provenance = [];
-        }
-  | _ -> Error "blame payload has no \"loops\" array"
+let of_json v =
+  let config = Option.value (J.member "config" v) ~default:J.Null in
+  let* workload =
+    match J.member "schema" v with
+    | Some (J.Str s) when s = schema -> Ok (mem_str "workload" v)
+    | Some (J.Str "spf_diff/v1") -> Ok (mem_str "workload" config)
+    | Some (J.Str "spf_prof/v1") -> Ok "?"
+    | Some (J.Str s) ->
+        Error
+          (Printf.sprintf
+             "unsupported schema %S (expected %s, spf_prof/v1 or spf_diff/v1)"
+             s schema)
+    | _ -> Error "no schema field"
+  in
+  let* config = config_of_json config in
+  let* profile = Profile.Report.of_json v in
+  Ok
+    {
+      workload;
+      config;
+      profile;
+      attribution =
+        Option.bind (J.member "attribution" v) attribution_of_json;
+      provenance = List.map prov_of_json (mem_list "provenance" v);
+    }
 
 let load path =
   match In_channel.with_open_text path In_channel.input_all with
   | exception Sys_error e -> Error e
-  | text -> (
-      match J.parse text with
-      | Error e -> Error (Printf.sprintf "%s: %s" path e)
-      | Ok v -> (
-          match of_json v with
-          | Error e -> Error (Printf.sprintf "%s: %s" path e)
-          | Ok t -> Ok t))
+  | text ->
+      Result.map_error (Printf.sprintf "%s: %s" path)
+        (Result.bind (J.parse text) of_json)

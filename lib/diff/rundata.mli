@@ -1,62 +1,12 @@
-(** One run, reduced to what differential diagnosis needs: the
-    configuration axes it was produced under, total/GC cycles, the
-    profiler's per-loop stall-bin and per-allocation-site breakdowns,
+(** The run record: one run, reduced to what differential diagnosis
+    needs, and the one file format every tool writes ([spf_run/v1]).
+
+    The record holds the other modules' own types: the configuration
+    axes ({!Bisect.config}), the profiler's report ({!Profile.Report.t}
+    — total/GC cycles, per-pc, per-loop and per-allocation-site rows),
     the attribution outcome totals, and the pass's per-loop decision
-    provenance.
-
-    A snapshot comes from three places — a live profiled
-    {!Workloads.Harness} run ({!of_run}), a recorded ["spf_diff/v1"]
-    snapshot, or a plain ["spf_prof/v1"] report written by [spf run --json]
-    (both via {!of_json}; the latter carries no config, attribution or
-    provenance, and the corresponding blame sections are skipped). *)
-
-type config = {
-  c_workload : string;
-  c_machine : string;
-  c_mode : string;  (** {!Strideprefetch.Options.mode_name} spelling *)
-  c_engine : string;
-  c_hw : string;  (** resolved hardware-prefetch spec, e.g. ["stream:8"] *)
-  c_prediction : string;
-  c_threshold : int option;
-  c_passes : bool;  (** standard JIT passes enabled *)
-  c_phased : bool;
-  c_interproc : bool;  (** interprocedural object inspection *)
-}
-
-val unknown_config : config
-(** All-["?"] placeholder used for ["spf_prof/v1"] inputs, which record
-    no configuration. *)
-
-type loop = {
-  lr_method : string;
-  lr_loop : int;  (** [-1]: the method's straight-line remainder *)
-  lr_depth : int;
-  lr_bins : int array;  (** indexed like {!Profile.Report.bin_fields} *)
-  lr_total : int;
-  lr_actions : int;  (** [-1] unknown *)
-}
-
-type site = {
-  s_method : string;
-  s_pc : int;
-  s_allocs : int;
-  s_bytes : int;
-  s_tlb : int;
-  s_l1 : int;
-  s_l2 : int;
-  s_mem : int;
-  s_total : int;
-}
-
-type attribution = {
-  a_issued : int;
-  a_cancelled : int;
-  a_redundant : int;
-  a_redundant_hw : int;
-  a_useful : int;
-  a_late : int;
-  a_useless : int;
-}
+    provenance. It comes from two places: a live profiled
+    {!Workloads.Harness} run ({!of_run}) or a file ({!of_json}). *)
 
 type prov = {
   p_method : string;
@@ -73,41 +23,43 @@ type prov = {
 }
 
 type t = {
-  config : config;
-  cycles : int;
-  gc_cycles : int;
-  totals : int array;  (** whole-run bins, {!Profile.Report.bin_fields} order *)
-  loops : loop list;
-  sites : site list;
-  attribution : attribution option;
-  provenance : prov list;  (** empty when unknown (recorded prof reports) *)
+  workload : string;
+  config : Bisect.config option;  (** [None]: not recorded *)
+  profile : Profile.Report.t;
+  attribution : Memsim.Attribution.site_counters option;
+  provenance : prov list;  (** empty when unknown *)
 }
 
-val bin_names : string list
-(** The bin spelling shared with {!Profile.Report.bin_fields}. *)
+val schema : string
+(** ["spf_run/v1"]. *)
+
+val attribution_fields :
+  (string * (Memsim.Attribution.site_counters -> int)) list
+(** The attribution classes in report order — issued, useful, late,
+    useless, cancelled, redundant, redundant_hw — with their accessors;
+    the file format and the blame table both iterate it. *)
 
 val of_run :
-  config:config -> Workloads.Harness.run_result -> (t, string) result
-(** Reduce a live run. [Error] unless the run was made with
-    [~profile:true] (the per-loop breakdown is the diff's backbone). *)
+  config:Bisect.config -> Workloads.Harness.run_result -> (t, string) result
+(** Reduce a live run made under [config]. [Error] unless the run was
+    made with [~profile:true] (the per-loop breakdown is the diff's
+    backbone). *)
 
 val to_json : t -> Telemetry.Json.t
-(** Schema ["spf_diff/v1"]. *)
+(** Schema ["spf_run/v1"]: the schema tag, [workload], [config] (keyed
+    by {!Bisect.axis_name} with {!Bisect.axis_value} spellings, or
+    [null]), the profile's {!Profile.Report.members}, [attribution]
+    ([null] when absent) and [provenance]. *)
 
 val of_json : Telemetry.Json.t -> (t, string) result
-(** Accepts ["spf_diff/v1"] and ["spf_prof/v1"] (the latter with
-    {!unknown_config} and no attribution/provenance). *)
-
-val of_bench_blame :
-  config:config -> cycles:int -> Telemetry.Json.t -> (t, string) result
-(** A fourth source: the compact ["blame"] payload a bench_hotpath/v2
-    report embeds in its profiled cells
-    ([{"gc_cycles": N, "loops": [...]}] — loops spelled as in the
-    ["spf_diff/v1"] snapshot). The whole-run bin totals are
-    reconstructed by summing the loops (every profiled cycle lands in
-    exactly one loop row, the straight-line remainders included, so the
-    sum is exact); sites, attribution and provenance are absent.
-    [Error] when the payload carries no ["loops"] array. *)
+(** Read a record. Accepts ["spf_run/v1"] and two older formats:
+    ["spf_prof/v1"] (a bare profile: no config, attribution or
+    provenance) and ["spf_diff/v1"] (whose config spells booleans,
+    integers and [null] where the record has [on]/[off], [N] and
+    [default]). The config is read back through the [--vs] parser
+    ({!Bisect.apply_overrides}). [Error] names an unknown schema, a bad
+    config value, or the first missing required profile member
+    ([cycles], [totals], [loops]). *)
 
 val load : string -> (t, string) result
-(** Parse a snapshot file; I/O and parse errors become [Error]. *)
+(** Parse a record file; I/O and parse errors become [Error]. *)

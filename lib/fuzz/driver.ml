@@ -63,13 +63,13 @@ let same_class (a : Oracle.failure) (b : Oracle.failure) =
   | Oracle.Stats_violation _, Oracle.Stats_violation _
   | Oracle.Faulting_prefetch _, Oracle.Faulting_prefetch _
   | Oracle.Lint_violation _, Oracle.Lint_violation _
-  | Oracle.Telemetry_divergence _, Oracle.Telemetry_divergence _
   | Oracle.Engine_divergence _, Oracle.Engine_divergence _
   | Oracle.Hw_divergence _, Oracle.Hw_divergence _
-  | Oracle.Prediction_divergence _, Oracle.Prediction_divergence _
-  | Oracle.Monitor_divergence _, Oracle.Monitor_divergence _
-  | Oracle.Diff_divergence _, Oracle.Diff_divergence _ ->
+  | Oracle.Prediction_divergence _, Oracle.Prediction_divergence _ ->
       true
+  | ( Oracle.Observer_divergence { law = la; _ },
+      Oracle.Observer_divergence { law = lb; _ } ) ->
+      la = lb
   | _ -> false
 
 let check_seed ?cells ?faults ~seed ~max_size () =
@@ -95,15 +95,8 @@ let shrink_finding ?cells ?faults ?max_attempts ~heap_limit_bytes
 let run ?cells ?faults ?(shrink = true) ?shrink_attempts
     ?(progress = fun ~index:_ ~seed:_ -> ()) ~campaign_seed ~count ~max_size
     () =
-  (* Matrix cells plus the appended cross-checks: the plain-vs-
-     telemetry+profile pair, the switch-vs-closure engine pair, the
-     hardware-model triple (none / stream / RPT), and the prediction-tier
-     triple (inspect / static / hybrid). *)
   let cells_per_program =
-    (match cells with
-    | Some cs -> List.length cs
-    | None -> List.length Oracle.default_cells)
-    + 10
+    Oracle.runs_per_program (Option.value cells ~default:Oracle.default_cells)
   in
   let findings = ref [] in
   for index = 0 to count - 1 do

@@ -60,12 +60,10 @@ type failure =
   | Stats_violation of { cell : cell; message : string }
   | Faulting_prefetch of { cell : cell; count : int }
   | Lint_violation of { cell : cell; meth : string; message : string }
-  | Telemetry_divergence of { cell : cell; message : string }
   | Engine_divergence of { cell : cell; message : string }
   | Hw_divergence of { cell : cell; hw : string; message : string }
   | Prediction_divergence of { cell : cell; tier : string; message : string }
-  | Monitor_divergence of { cell : cell; message : string }
-  | Diff_divergence of { cell : cell; message : string }
+  | Observer_divergence of { cell : cell; law : string; message : string }
 
 type verdict = Pass of { cells_run : int } | Fail of failure
 
@@ -93,10 +91,6 @@ let describe = function
   | Lint_violation { cell; meth; message } ->
       Printf.sprintf "[%s] %s is not lint-clean: %s" (cell_name cell) meth
         message
-  | Telemetry_divergence { cell; message } ->
-      Printf.sprintf
-        "[%s] telemetry perturbed the simulation (must be observe-only): %s"
-        (cell_name cell) message
   | Engine_divergence { cell; message } ->
       Printf.sprintf
         "[%s] switch and closure engines diverged (bit-identity is their \
@@ -112,17 +106,11 @@ let describe = function
         "[%s] prediction tier %s diverged from dynamic inspection \
          (static/hybrid plans must stay observationally equivalent): %s"
         (cell_name cell) tier message
-  | Monitor_divergence { cell; message } ->
+  | Observer_divergence { cell; law; message } ->
       Printf.sprintf
-        "[%s] the live monitor perturbed the simulation (must be \
-         observe-only) or its window books don't balance: %s"
-        (cell_name cell) message
-  | Diff_divergence { cell; message } ->
-      Printf.sprintf
-        "[%s] the differential-diagnosis join broke its identity law (a \
-         run diffed against itself must blame nothing, conservation \
-         exact): %s"
-        (cell_name cell) message
+        "[%s] observer law %s broken (attribution, profiler, monitor and \
+         run record must observe only and balance their books): %s"
+        (cell_name cell) law message
 
 (* Structural invariants any run must satisfy, whatever the program. *)
 let stats_invariants (cell : cell) (r : Workloads.Harness.run_result) =
@@ -227,232 +215,230 @@ let lint_failure ~opts (cell : cell) (r : Workloads.Harness.run_result) =
 
 let with_faults faults o = { o with Vm.Interp.faults }
 
-(* Telemetry/profiler-observer cross-check: one fresh cell pair, plain vs
-   fully attributed AND profiled, at the headline configuration. The
-   observability stack must observe the simulation without participating:
-   program output, cycle count and every core (non-telemetry) counter
-   must be bit-identical, the attributed run's effectiveness books must
-   balance (issued = cancelled + redundant + useful + late + useless),
-   and the profiler's cycle bins must sum exactly to the run's cycle
-   count (the conservation law of lib/profile). *)
-let telemetry_crosscheck ~opts ~faults workload =
-  let cell =
-    {
-      mode = O.Inter_intra;
-      standard_passes = true;
-      machine = Memsim.Config.pentium4;
-    }
-  in
-  let run ~telemetry ~profile =
-    Workloads.Harness.run ~opts ~tweak_options:(with_faults faults)
-      ~telemetry ~profile ~mode:cell.mode ~machine:cell.machine workload
-  in
-  match
-    (run ~telemetry:false ~profile:false, run ~telemetry:true ~profile:true)
-  with
-  | exception e -> Some (Crash { cell; message = Printexc.to_string e })
-  | plain, attributed ->
-      let diverged message = Some (Telemetry_divergence { cell; message }) in
-      if plain.output <> attributed.output then
-        diverged "program output differs"
-      else if plain.cycles <> attributed.cycles then
-        diverged
-          (Printf.sprintf "cycles differ: plain=%d telemetry=%d" plain.cycles
-             attributed.cycles)
-      else if
-        plain.faulting_prefetches <> attributed.faulting_prefetches
-        || plain.spec_guard_trips <> attributed.spec_guard_trips
-      then diverged "fault/guard counters differ"
-      else begin
-        match
-          List.find_opt
-            (fun ((k, a), (k', b)) -> k <> k' || a <> b)
-            (List.combine
-               (Memsim.Stats.core_alist plain.stats)
-               (Memsim.Stats.core_alist attributed.stats))
-        with
-        | Some ((k, a), (_, b)) ->
-            diverged
-              (Printf.sprintf "core counter %s differs: plain=%d telemetry=%d"
-                 k a b)
-        | None -> (
-            match attributed.effectiveness with
-            | None -> diverged "telemetry run produced no effectiveness report"
-            | Some eff ->
-                let t = eff.Workloads.Effectiveness.totals in
-                let classified =
-                  t.Memsim.Attribution.cancelled + t.redundant
-                  + t.redundant_hw + t.useful + t.late + t.useless
-                in
-                if t.issued <> classified then
-                  diverged
-                    (Printf.sprintf
-                       "attribution books don't balance: issued=%d but \
-                        cancelled+redundant+redundant_hw+useful+late+\
-                        useless=%d"
-                       t.issued classified)
-                else begin
-                  (* The profiler rode along on the attributed run; its
-                     conservation law must hold on every fuzzed program. *)
-                  match attributed.profile with
-                  | None -> diverged "profiled run produced no profile report"
-                  | Some rep -> (
-                      match Profile.Report.conservation_error rep with
-                      | Some msg ->
-                          diverged
-                            ("profiler conservation law violated: " ^ msg)
-                      | None ->
-                          (* The diff engine's identity law, on the same
-                             attributed run: snapshot it and diff it
-                             against itself — the blame must be empty
-                             (zero total delta, zero per-loop deltas)
-                             and the conservation check exact. A breach
-                             is a join bug in lib/diff, invisible to
-                             every cell above. *)
-                          let diff_diverged message =
-                            Some (Diff_divergence { cell; message })
-                          in
-                          let config =
-                            {
-                              Diff.Rundata.c_workload =
-                                workload.Workloads.Workload.name;
-                              c_machine = cell.machine.Memsim.Config.name;
-                              c_mode = O.mode_name cell.mode;
-                              c_engine = "closure";
-                              c_hw =
-                                Memsim.Config.hw_prefetch_to_string
-                                  cell.machine.Memsim.Config.hw_prefetch;
-                              c_prediction =
-                                O.prediction_name opts.O.prediction;
-                              c_threshold = opts.O.inter_stride_threshold;
-                              c_passes = true;
-                              c_phased = opts.O.enable_phased;
-                              c_interproc = opts.O.inspect_calls;
-                            }
-                          in
-                          (match
-                             Diff.Rundata.of_run ~config attributed
-                           with
-                          | Error msg ->
-                              diff_diverged
-                                ("snapshot of a profiled run failed: " ^ msg)
-                          | Ok rd -> (
-                              let bl =
-                                Diff.Blame.build ~faults ~a:rd ~b:rd ()
-                              in
-                              if bl.Diff.Blame.total_delta <> 0 then
-                                diff_diverged
-                                  (Printf.sprintf
-                                     "self-diff total delta is %+d, want 0"
-                                     bl.Diff.Blame.total_delta)
-                              else
-                                match Diff.Blame.check bl with
-                                | Some msg -> diff_diverged msg
-                                | None ->
-                                    if
-                                      List.exists
-                                        (fun (d : Diff.Blame.loop_delta) ->
-                                          d.d_delta <> 0)
-                                        bl.Diff.Blame.loops
-                                    then
-                                      diff_diverged
-                                        "self-diff blames a loop for a \
-                                         nonzero delta"
-                                    else None)))
-                end)
-      end
+(* The configuration every cross-check below runs at: the run-config
+   default, whose plain run is also one of the default matrix cells. *)
+let headline_config = Diff.Bisect.default_config
 
-(* Engine cross-check: one fresh cell pair at the headline configuration,
-   reference switch engine vs closure-compiled engine. Bit-identity is
-   the engines' contract, so on a completed run {e everything} must
-   agree: program output, the statics-reachable heap graph, and the full
-   stats surface — every core memory-system counter plus the VM-side
-   books (cycle split, GC count, methods compiled, fault/guard
-   counters). A crashing program must crash {e identically} in both
-   engines (same exception, same message) and is compared on the crash
-   alone: the closure engine's block batching commits a whole block's
-   step/cycle bookkeeping before a mid-block error where the switch
-   engine stops at the faulting instruction (documented in
-   lib/vm/engine.ml), so post-crash counters are deliberately not
-   comparable — and no stats counter is readable from an aborted run
-   anyway. *)
-let engine_crosscheck ~opts ~faults workload =
-  let cell =
-    {
-      mode = O.Inter_intra;
-      standard_passes = true;
-      machine = Memsim.Config.pentium4;
-    }
+let headline =
+  {
+    mode = headline_config.mode;
+    standard_passes = headline_config.passes;
+    machine = headline_config.machine;
+  }
+
+let cross_check_runs = 8
+
+let with_headline cells =
+  if List.mem headline cells then cells else cells @ [ headline ]
+
+let runs_per_program cells =
+  List.length (with_headline cells) + cross_check_runs
+
+(* One cross-check run: the headline configuration (on [machine], for
+   the hardware triple), with the injected faults and an end-of-run
+   heap snapshot. *)
+let headline_run ~opts ~faults ?engine ?profile ?monitor
+    ?(machine = headline.machine) workload =
+  Workloads.Harness.run ~opts ~tweak_options:(with_faults faults) ?engine
+    ?profile ?monitor ~capture_observables:true ~mode:headline.mode ~machine
+    workload
+
+(* The first leg that reports a problem. *)
+let first legs = List.find_map (fun leg -> leg ()) legs
+
+(* Bit-identity of two completed runs of one configuration: program
+   output, cycles, the fault/guard counters and every core stats
+   counter. [a] and [b] name the two sides in the message. *)
+let twin_identity ~a ~b (ra : Workloads.Harness.run_result)
+    (rb : Workloads.Harness.run_result) =
+  if ra.output <> rb.output then Some "program output differs"
+  else if ra.cycles <> rb.cycles then
+    Some (Printf.sprintf "cycles differ: %s=%d %s=%d" a ra.cycles b rb.cycles)
+  else if
+    ra.faulting_prefetches <> rb.faulting_prefetches
+    || ra.spec_guard_trips <> rb.spec_guard_trips
+  then Some "fault/guard counters differ"
+  else
+    List.find_map
+      (fun ((k, x), (_, y)) ->
+        if x = y then None
+        else
+          Some
+            (Printf.sprintf "core counter %s differs: %s=%d %s=%d" k a x b y))
+      (List.combine
+         (Memsim.Stats.core_alist ra.stats)
+         (Memsim.Stats.core_alist rb.stats))
+
+(* The statics-reachable heap graphs of two runs. *)
+let heap_diff (a : Workloads.Harness.run_result)
+    (b : Workloads.Harness.run_result) =
+  match (a.observables, b.observables) with
+  | Some x, Some y ->
+      Option.map
+        (( ^ ) "reachable heap differs: ")
+        (Workloads.Observables.diff x y)
+  | _ -> Some "a run captured no observables"
+
+let attribution_books (t : Memsim.Attribution.site_counters) =
+  let classified =
+    t.cancelled + t.redundant + t.redundant_hw + t.useful + t.late + t.useless
   in
-  let run engine =
-    match
-      Workloads.Harness.run ~opts ~tweak_options:(with_faults faults) ~engine
-        ~capture_observables:true ~mode:cell.mode ~machine:cell.machine
-        workload
-    with
-    | r -> Ok r
-    | exception e -> Error (Printexc.to_string e)
+  if t.issued = classified then None
+  else
+    Some
+      (Printf.sprintf
+         "issued=%d but cancelled+redundant+redundant_hw+useful+late+useless=%d"
+         t.issued classified)
+
+(* The monitor's books: per-window core-counter deltas and attribution
+   outcomes must sum back exactly to the run totals. *)
+let monitor_books (r : Workloads.Harness.run_result) (rep : Monitor.Report.t)
+    (t : Memsim.Attribution.site_counters) =
+  let windows = rep.Monitor.Report.windows in
+  let sum f = Array.fold_left (fun acc w -> acc + f w) 0 windows in
+  let mismatch what (k, s, total) =
+    if s = total then None
+    else
+      Some
+        (Printf.sprintf "window %s for %s sum to %d but the run total is %d"
+           what k s total)
   in
-  let diverged message = Some (Engine_divergence { cell; message }) in
-  match (run Vm.Interp.Switch, run Vm.Interp.Closure) with
-  | Error sw, Error cl ->
-      if sw = cl then None
-      else
-        diverged
-          (Printf.sprintf "engines crash differently: switch raised %s, \
-                           closure raised %s" sw cl)
-  | Error sw, Ok _ ->
-      diverged
-        (Printf.sprintf "switch engine crashed (%s) but closure completed" sw)
-  | Ok _, Error cl ->
-      diverged
-        (Printf.sprintf "closure engine crashed (%s) but switch completed" cl)
-  | Ok sw, Ok cl ->
-      if sw.output <> cl.output then diverged "program output differs"
-      else begin
-        let counter name f =
-          if f sw = f cl then None
-          else
-            Some
-              (Printf.sprintf "%s differs: switch=%d closure=%d" name (f sw)
-                 (f cl))
-        in
-        let vm_books =
-          List.filter_map
-            (fun (name, f) -> counter name f)
-            [
-              ("cycles", fun (r : Workloads.Harness.run_result) -> r.cycles);
-              ("interpreted_cycles", fun r -> r.interpreted_cycles);
-              ("compiled_cycles", fun r -> r.compiled_cycles);
-              ("gc_count", fun r -> r.gc_count);
-              ("methods_compiled", fun r -> r.methods_compiled);
-              ("faulting_prefetches", fun r -> r.faulting_prefetches);
-              ("spec_guard_trips", fun r -> r.spec_guard_trips);
-            ]
-        in
-        match vm_books with
-        | msg :: _ -> diverged msg
-        | [] -> (
-            match
-              List.find_opt
-                (fun ((k, a), (k', b)) -> k <> k' || a <> b)
-                (List.combine
-                   (Memsim.Stats.core_alist sw.stats)
-                   (Memsim.Stats.core_alist cl.stats))
-            with
-            | Some ((k, a), (_, b)) ->
-                diverged
-                  (Printf.sprintf "core counter %s differs: switch=%d \
-                                   closure=%d" k a b)
-            | None -> (
-                match (sw.observables, cl.observables) with
-                | Some a, Some b -> (
-                    match Workloads.Observables.diff a b with
-                    | None -> None
-                    | Some diff ->
-                        diverged ("reachable heap differs: " ^ diff))
-                | _ -> diverged "a run captured no observables"))
-      end
+  let totals = Memsim.Stats.core_alist r.stats in
+  let sums = Array.make (List.length totals) 0 in
+  Array.iter
+    (fun (w : Monitor.Window.t) ->
+      List.iteri
+        (fun i (_, v) -> sums.(i) <- sums.(i) + v)
+        (Memsim.Stats.core_alist w.stats))
+    windows;
+  first
+    [
+      (fun () ->
+        List.find_map (mismatch "deltas")
+          (List.mapi (fun i (k, total) -> (k, sums.(i), total)) totals));
+      (fun () ->
+        List.find_map (mismatch "outcomes")
+          [
+            ("issued", sum (fun (w : Monitor.Window.t) -> w.issued), t.issued);
+            ("useful", sum (fun (w : Monitor.Window.t) -> w.useful), t.useful);
+            ("late", sum (fun (w : Monitor.Window.t) -> w.late), t.late);
+            ( "useless",
+              sum (fun (w : Monitor.Window.t) -> w.useless),
+              t.useless );
+          ]);
+    ]
+
+(* A run record diffed against itself must blame nothing, with the
+   blame conservation law exact. *)
+let self_diff ~faults (r : Workloads.Harness.run_result) =
+  match Diff.Rundata.of_run ~config:headline_config r with
+  | Error msg -> Some msg
+  | Ok rd -> (
+      let bl = Diff.Blame.build ~faults ~a:rd ~b:rd () in
+      match Diff.Blame.check bl with
+      | Some _ as broken -> broken
+      | None ->
+          if
+            bl.total_delta <> 0
+            || List.exists
+                 (fun (d : Diff.Blame.loop_delta) -> d.d_delta <> 0)
+                 bl.loops
+          then Some "a run diffed against itself blames a nonzero delta"
+          else None)
+
+(* The observer law: the headline configuration re-run with every
+   observer on — attribution, the object-centric profiler and a live
+   monitor with 4096-cycle windows (small enough that even tiny fuzzed
+   programs close several) — against its plain twin. Each observer must
+   observe without participating, and each must balance its books:
+
+   - observe-only: output, cycles, fault/guard and core counters are
+     bit-identical to the plain twin (the [Monitor_desync] fault, a
+     window-boundary fire that charges a cycle, breaks this);
+   - attribution-books: issued = cancelled + redundant + redundant_hw +
+     useful + late + useless;
+   - profile-conservation: the profiler's bins plus GC sum to the
+     run's cycles;
+   - monitor-books: the per-window stats deltas and attribution outcomes
+     sum back to the run totals, tail partial window included;
+   - self-diff: the run record diffed against itself blames nothing
+     (the [Diff_desync] fault breaks this). *)
+let observer_crosscheck ~opts ~faults workload
+    (plain : Workloads.Harness.run_result) =
+  match headline_run ~opts ~faults ~profile:true ~monitor:4096 workload with
+  | exception e ->
+      Some (Crash { cell = headline; message = Printexc.to_string e })
+  | observed ->
+      let missing what = Some ("the observed run produced no " ^ what) in
+      let with_attribution f =
+        match observed.effectiveness with
+        | None -> missing "attribution report"
+        | Some eff -> f eff.Workloads.Effectiveness.totals
+      in
+      List.find_map
+        (fun (law, leg) ->
+          Option.map
+            (fun message -> Observer_divergence { cell = headline; law; message })
+            (leg ()))
+        [
+          ( "observe-only",
+            fun () -> twin_identity ~a:"plain" ~b:"observed" plain observed );
+          ("attribution-books", fun () -> with_attribution attribution_books);
+          ( "profile-conservation",
+            fun () ->
+              match observed.profile with
+              | None -> missing "profile"
+              | Some p -> Profile.Report.conservation_error p );
+          ( "monitor-books",
+            fun () ->
+              match observed.monitor with
+              | None -> missing "monitor report"
+              | Some rep -> with_attribution (monitor_books observed rep) );
+          ("self-diff", fun () -> self_diff ~faults observed);
+        ]
+
+(* Engine cross-check: the headline configuration on the reference switch
+   engine against its plain twin on the closure-compiled engine.
+   Bit-identity is the engines' contract, so everything must agree: the
+   twin identity above, the VM-side books (cycle split, GC count,
+   methods compiled) and the statics-reachable heap graph. The plain
+   twin completed (a crash fails the matrix first), so a switch crash is
+   a divergence; post-crash counters are never compared — the closure
+   engine's block batching commits a whole block's bookkeeping before a
+   mid-block error (documented in lib/vm/engine.ml). *)
+let engine_crosscheck ~opts ~faults workload
+    (closure : Workloads.Harness.run_result) =
+  let diverged message = Engine_divergence { cell = headline; message } in
+  match headline_run ~opts ~faults ~engine:Vm.Interp.Switch workload with
+  | exception e ->
+      Some
+        (diverged
+           (Printf.sprintf "switch engine crashed (%s) but closure completed"
+              (Printexc.to_string e)))
+  | sw ->
+      let vm_book (name, f) =
+        if f sw = f closure then None
+        else
+          Some
+            (Printf.sprintf "%s differs: switch=%d closure=%d" name (f sw)
+               (f closure))
+      in
+      Option.map diverged
+        (first
+           [
+             (fun () -> twin_identity ~a:"switch" ~b:"closure" sw closure);
+             (fun () ->
+               List.find_map vm_book
+                 [
+                   ( "interpreted_cycles",
+                     fun (r : Workloads.Harness.run_result) ->
+                       r.interpreted_cycles );
+                   ("compiled_cycles", fun r -> r.compiled_cycles);
+                   ("gc_count", fun r -> r.gc_count);
+                   ("methods_compiled", fun r -> r.methods_compiled);
+                 ]);
+             (fun () -> heap_diff sw closure);
+           ])
 
 (* Hardware-prefetcher cross-check: the headline configuration re-run
    under each hardware prefetch model (none, stream, RPT). The hardware
@@ -464,71 +450,36 @@ let engine_crosscheck ~opts ~faults workload =
    injects, invisible to every same-machine check above because the
    default matrix never varies the hardware model. *)
 let hw_crosscheck ~opts ~faults workload =
-  let models =
-    [
-      Memsim.Config.Hw_none;
-      Memsim.Config.default_stream;
-      Memsim.Config.default_rpt;
-    ]
-  in
-  let cell_of hw =
-    {
-      mode = O.Inter_intra;
-      standard_passes = true;
-      machine =
-        { Memsim.Config.pentium4 with Memsim.Config.hw_prefetch = hw };
-    }
-  in
   let run hw =
-    let cell = cell_of hw in
-    match
-      Workloads.Harness.run ~opts ~tweak_options:(with_faults faults)
-        ~capture_observables:true ~mode:cell.mode ~machine:cell.machine
-        workload
-    with
-    | r -> Ok (cell, Memsim.Config.hw_prefetch_to_string hw, r)
+    let machine = { headline.machine with Memsim.Config.hw_prefetch = hw } in
+    let cell = { headline with machine } in
+    match headline_run ~opts ~faults ~machine workload with
+    | r -> Ok (cell, r)
     | exception e -> Error (Crash { cell; message = Printexc.to_string e })
   in
-  let runs = List.map run models in
+  let diverges (base : Workloads.Harness.run_result) (cell, r) =
+    Option.map
+      (fun message ->
+        Hw_divergence
+          {
+            cell;
+            hw = Memsim.Config.hw_prefetch_to_string cell.machine.hw_prefetch;
+            message = message ^ " (against the hw=none run)";
+          })
+      (if r.Workloads.Harness.output <> base.output then
+         Some "program output differs"
+       else heap_diff base r)
+  in
+  let runs =
+    List.map run
+      Memsim.Config.[ Hw_none; default_stream; default_rpt ]
+  in
   match List.find_map (function Error f -> Some f | Ok _ -> None) runs with
   | Some f -> Some f
   | None -> (
-      match
-        List.filter_map (function Ok x -> Some x | Error _ -> None) runs
-      with
-      | [] | [ _ ] -> None
-      | (_, _, base) :: rest ->
-          let compare_to_base (cell, hw, (r : Workloads.Harness.run_result))
-              =
-            if r.output <> base.Workloads.Harness.output then
-              Some
-                (Hw_divergence
-                   {
-                     cell;
-                     hw;
-                     message = "program output differs from the hw=none run";
-                   })
-            else
-              match (base.observables, r.observables) with
-              | Some a, Some b -> (
-                  match Workloads.Observables.diff a b with
-                  | None -> None
-                  | Some diff ->
-                      Some
-                        (Hw_divergence
-                           {
-                             cell;
-                             hw;
-                             message =
-                               "reachable heap differs from the hw=none \
-                                run: " ^ diff;
-                           }))
-              | _ ->
-                  Some
-                    (Hw_divergence
-                       { cell; hw; message = "a run captured no observables" })
-          in
-          List.find_map compare_to_base rest)
+      match List.filter_map Result.to_option runs with
+      | (_, base) :: rest -> List.find_map (diverges base) rest
+      | [] -> None)
 
 (* Prediction cross-check: the headline configuration re-run under the
    static and hybrid prediction tiers, compared to the inspect-tier run.
@@ -542,179 +493,42 @@ let hw_crosscheck ~opts ~faults workload =
    check above because the default matrix never leaves the inspect
    tier. *)
 let prediction_crosscheck ~opts ~faults workload =
-  let cell =
-    {
-      mode = O.Inter_intra;
-      standard_passes = true;
-      machine = Memsim.Config.pentium4;
-    }
-  in
   let run tier =
-    let opts = { opts with O.prediction = tier } in
-    match
-      Workloads.Harness.run ~opts ~tweak_options:(with_faults faults)
-        ~capture_observables:true ~mode:cell.mode ~machine:cell.machine
-        workload
+    match headline_run ~opts:{ opts with O.prediction = tier } ~faults workload
     with
     | r -> Ok r
     | exception e ->
         Error
           (Crash
              {
-               cell;
+               cell = headline;
                message =
                  Printf.sprintf "under prediction tier %s: %s"
                    (O.prediction_name tier) (Printexc.to_string e);
              })
   in
+  let check_tier (base : Workloads.Harness.run_result) tier =
+    match run tier with
+    | Error f -> Some f
+    | Ok r ->
+        Option.map
+          (fun message ->
+            Prediction_divergence
+              {
+                cell = headline;
+                tier = O.prediction_name tier;
+                message = message ^ " (against the inspect-tier run)";
+              })
+          (if r.output <> base.output then Some "program output differs"
+           else if r.faulting_prefetches > 0 then
+             Some
+               (Printf.sprintf "%d prefetch op(s) computed a negative address"
+                  r.faulting_prefetches)
+           else heap_diff base r)
+  in
   match run O.Inspect with
   | Error f -> Some f
-  | Ok base ->
-      let check_tier tier =
-        let name = O.prediction_name tier in
-        let diverged message =
-          Some (Prediction_divergence { cell; tier = name; message })
-        in
-        match run tier with
-        | Error f -> Some f
-        | Ok r ->
-            if r.Workloads.Harness.output <> base.Workloads.Harness.output
-            then diverged "program output differs from the inspect-tier run"
-            else if r.faulting_prefetches > 0 then
-              diverged
-                (Printf.sprintf
-                   "%d prefetch op(s) computed a negative address"
-                   r.faulting_prefetches)
-            else (
-              match (base.observables, r.observables) with
-              | Some a, Some b -> (
-                  match Workloads.Observables.diff a b with
-                  | None -> None
-                  | Some diff ->
-                      diverged
-                        ("reachable heap differs from the inspect-tier \
-                          run: " ^ diff))
-              | _ -> diverged "a run captured no observables")
-      in
-      (match check_tier O.Static with
-      | Some f -> Some f
-      | None -> check_tier O.Hybrid)
-
-(* Monitor cross-check: the headline configuration re-run with the live
-   windowed monitor armed (4096-cycle windows — small enough that even
-   tiny fuzzed programs close several) against its plain twin. The
-   monitor must observe without participating: program output, cycles
-   and every core counter bit-identical to the unmonitored run — the
-   class of bug the [Monitor_desync] self-test injects (a
-   window-boundary fire that charges a cycle), invisible to every check
-   above because the default matrix never arms a monitor. And the
-   monitor's own books must balance: the per-window stats deltas and
-   attribution outcomes must sum back exactly to the end-of-run totals
-   (the tail partial window included), else windowing lost or invented
-   events. *)
-let monitor_crosscheck ~opts ~faults workload =
-  let cell =
-    {
-      mode = O.Inter_intra;
-      standard_passes = true;
-      machine = Memsim.Config.pentium4;
-    }
-  in
-  let run_plain () =
-    Workloads.Harness.run ~opts ~tweak_options:(with_faults faults)
-      ~mode:cell.mode ~machine:cell.machine workload
-  in
-  let run_monitored () =
-    Workloads.Harness.run ~opts ~tweak_options:(with_faults faults)
-      ~monitor:4096 ~mode:cell.mode ~machine:cell.machine workload
-  in
-  match (run_plain (), run_monitored ()) with
-  | exception e -> Some (Crash { cell; message = Printexc.to_string e })
-  | plain, mon -> (
-      let diverged message = Some (Monitor_divergence { cell; message }) in
-      if plain.Workloads.Harness.output <> mon.Workloads.Harness.output then
-        diverged "program output differs"
-      else if plain.cycles <> mon.cycles then
-        diverged
-          (Printf.sprintf "cycles differ: plain=%d monitored=%d" plain.cycles
-             mon.cycles)
-      else if
-        plain.faulting_prefetches <> mon.faulting_prefetches
-        || plain.spec_guard_trips <> mon.spec_guard_trips
-      then diverged "fault/guard counters differ"
-      else
-        match
-          List.find_opt
-            (fun ((k, a), (k', b)) -> k <> k' || a <> b)
-            (List.combine
-               (Memsim.Stats.core_alist plain.stats)
-               (Memsim.Stats.core_alist mon.stats))
-        with
-        | Some ((k, a), (_, b)) ->
-            diverged
-              (Printf.sprintf "core counter %s differs: plain=%d monitored=%d"
-                 k a b)
-        | None -> (
-            match mon.monitor with
-            | None -> diverged "monitored run produced no monitor report"
-            | Some rep -> (
-                let windows = rep.Monitor.Report.windows in
-                let totals = Memsim.Stats.core_alist mon.stats in
-                let sums = Array.make (List.length totals) 0 in
-                Array.iter
-                  (fun (w : Monitor.Window.t) ->
-                    List.iteri
-                      (fun i (_, v) -> sums.(i) <- sums.(i) + v)
-                      (Memsim.Stats.core_alist w.Monitor.Window.stats))
-                  windows;
-                let rec first_mismatch i = function
-                  | [] -> None
-                  | (k, total) :: rest ->
-                      if sums.(i) <> total then Some (k, sums.(i), total)
-                      else first_mismatch (i + 1) rest
-                in
-                match first_mismatch 0 totals with
-                | Some (k, s, total) ->
-                    diverged
-                      (Printf.sprintf
-                         "window deltas for %s sum to %d but the run total \
-                          is %d"
-                         k s total)
-                | None -> (
-                    match mon.effectiveness with
-                    | None ->
-                        diverged "monitored run produced no attribution"
-                    | Some eff -> (
-                        let t = eff.Workloads.Effectiveness.totals in
-                        let sum f =
-                          Array.fold_left (fun a w -> a + f w) 0 windows
-                        in
-                        let books =
-                          [
-                            ( "issued",
-                              sum (fun (w : Monitor.Window.t) -> w.issued),
-                              t.Memsim.Attribution.issued );
-                            ( "useful",
-                              sum (fun (w : Monitor.Window.t) -> w.useful),
-                              t.useful );
-                            ( "late",
-                              sum (fun (w : Monitor.Window.t) -> w.late),
-                              t.late );
-                            ( "useless",
-                              sum (fun (w : Monitor.Window.t) -> w.useless),
-                              t.useless );
-                          ]
-                        in
-                        match
-                          List.find_opt (fun (_, s, tot) -> s <> tot) books
-                        with
-                        | Some (k, s, tot) ->
-                            diverged
-                              (Printf.sprintf
-                                 "window %s deltas sum to %d but the \
-                                  attribution total is %d"
-                                 k s tot)
-                        | None -> None)))))
+  | Ok base -> List.find_map (check_tier base) [ O.Static; O.Hybrid ]
 
 let check ?(cells = default_cells) ?(faults = Vm.Fault.none) ~source
     ~heap_limit_bytes () =
@@ -779,12 +593,12 @@ let check ?(cells = default_cells) ?(faults = Vm.Fault.none) ~source
                       | Some f -> Error f
                       | None -> Ok r)))
       in
-      match cells with
-      | [] -> Pass { cells_run = 0 }
+      match with_headline cells with
+      | [] -> assert false
       | baseline_cell :: rest -> (
           match run baseline_cell with
           | Error f -> Fail f
-          | Ok baseline ->
+          | Ok baseline -> (
               let compare_to_baseline cell (r : Workloads.Harness.run_result)
                   =
                 if r.output <> baseline.output then
@@ -803,44 +617,36 @@ let check ?(cells = default_cells) ?(faults = Vm.Fault.none) ~source
                       | Some diff -> Some (Heap_divergence { cell; diff }))
                   | _ -> None
               in
-              let rec loop n = function
-                | [] -> (
-                    (* Differential matrix clean: append the telemetry
-                       observer-effect pair, the switch-vs-closure
-                       engine pair, the hardware-model triple, the
-                       prediction-tier triple, then the monitored twin
-                       pair. *)
-                    match telemetry_crosscheck ~opts ~faults workload with
-                    | Some f -> Fail f
-                    | None -> (
-                        match
-                          engine_crosscheck ~opts ~faults workload
-                        with
-                        | Some f -> Fail f
-                        | None -> (
-                            match
-                              hw_crosscheck ~opts ~faults workload
-                            with
-                            | Some f -> Fail f
-                            | None -> (
-                                match
-                                  prediction_crosscheck ~opts ~faults
-                                    workload
-                                with
-                                | Some f -> Fail f
-                                | None -> (
-                                    match
-                                      monitor_crosscheck ~opts ~faults
-                                        workload
-                                    with
-                                    | Some f -> Fail f
-                                    | None -> Pass { cells_run = n + 12 })))))
+              let rec matrix runs = function
+                | [] -> Ok runs
                 | cell :: cells -> (
                     match run cell with
-                    | Error f -> Fail f
+                    | Error f -> Error f
                     | Ok r -> (
                         match compare_to_baseline cell r with
-                        | Some f -> Fail f
-                        | None -> loop (n + 1) cells))
+                        | Some f -> Error f
+                        | None -> matrix ((cell, r) :: runs) cells))
               in
-              loop 1 rest))
+              match matrix [ (baseline_cell, baseline) ] rest with
+              | Error f -> Fail f
+              | Ok runs -> (
+                  (* Differential matrix clean: the cross-checks, the
+                     first two against the matrix's own headline run. *)
+                  let plain = List.assoc headline runs in
+                  match
+                    List.find_map
+                      (fun cross_check -> cross_check ())
+                      [
+                        (fun () ->
+                          observer_crosscheck ~opts ~faults workload plain);
+                        (fun () ->
+                          engine_crosscheck ~opts ~faults workload plain);
+                        (fun () -> hw_crosscheck ~opts ~faults workload);
+                        (fun () ->
+                          prediction_crosscheck ~opts ~faults workload);
+                      ]
+                  with
+                  | Some f -> Fail f
+                  | None ->
+                      Pass { cells_run = List.length runs + cross_check_runs }
+                  ))))

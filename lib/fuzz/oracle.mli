@@ -43,21 +43,13 @@ type failure =
           [Analysis] stack (type-state, prefetch safety, plan-aware
           lints); warnings count — correct codegen emits neither
           redundant prefetches nor dead spec-load registers *)
-  | Telemetry_divergence of { cell : cell; message : string }
-      (** the observability stack perturbed the simulation: a
-          [~telemetry:true ~profile:true] run diverged from its plain
-          twin in output, cycles or a core stats counter — or the
-          attribution books failed to balance
-          (issued <> cancelled + redundant + useful + late + useless),
-          or the profiler's cycle bins did not sum to the run's cycle
-          count *)
   | Engine_divergence of { cell : cell; message : string }
       (** the switch and closure-compiled engines disagreed on the same
           program — output, cycles, a core stats counter, a VM-side
-          counter (GC count, methods compiled, fault/guard trips), the
-          reachable heap, or their crash behaviour. Bit-identity across
-          engines is their contract (lib/vm/engine.ml); crashing runs
-          are compared on the crash alone, never on post-crash stats *)
+          counter (GC count, methods compiled, fault/guard trips) or the
+          reachable heap — or the switch engine crashed where the
+          closure engine completed. Bit-identity across engines is
+          their contract (lib/vm/engine.ml) *)
   | Hw_divergence of { cell : cell; hw : string; message : string }
       (** a hardware-prefetcher model ([hw] is its spec string, e.g.
           ["rpt:64x2@4"]) perturbed the architectural state: the headline
@@ -74,26 +66,31 @@ type failure =
           stride is discovered (compile time, inspection iterations).
           Per-site static-vs-inspected disagreement is a scored metric
           ([spf lint --predict]), never this failure *)
-  | Monitor_divergence of { cell : cell; message : string }
-      (** the live windowed monitor perturbed the simulation or kept bad
-          books: the headline configuration re-run with a 4096-cycle
-          monitor armed must be bit-identical to its plain twin (output,
-          cycles, every core counter — the monitor observes only), and
-          the monitor's per-window stats deltas and attribution outcomes
-          must sum back exactly to the end-of-run totals, tail partial
-          window included *)
-  | Diff_divergence of { cell : cell; message : string }
-      (** the differential-diagnosis join (lib/diff) broke its identity
-          law on the attributed run: a snapshot diffed against itself
-          must produce an empty blame — zero total delta, zero per-loop
-          deltas — with the blame conservation law holding exactly.
-          Checked on every fuzzed program, so a join bug (lost loop key,
-          bad bin order) can't hide behind hand-picked workloads *)
+  | Observer_divergence of { cell : cell; law : string; message : string }
+      (** an observer broke the observer law, named by [law]:
+          - ["observe-only"]: the headline configuration run with every
+            observer on (attribution, profiler, a 4096-cycle monitor)
+            diverged from its plain twin in output, cycles, the
+            fault/guard counters or a core stats counter;
+          - ["attribution-books"]: issued <> cancelled + redundant +
+            redundant_hw + useful + late + useless;
+          - ["profile-conservation"]: the profiler's bins plus GC do
+            not sum to the run's cycles;
+          - ["monitor-books"]: the monitor's per-window stats deltas or
+            attribution outcomes do not sum back to the run totals;
+          - ["self-diff"]: the run record ({!Diff.Rundata}) diffed
+            against itself blamed a nonzero delta or broke the blame
+            conservation law. *)
 
 type verdict = Pass of { cells_run : int } | Fail of failure
 
 val describe : failure -> string
 (** Multi-line human-readable rendering, used in fuzzing reports. *)
+
+val runs_per_program : cell list -> int
+(** Harness runs {!check} makes on a passing program with this matrix:
+    the cells (plus the headline cell, inter+intra / pipeline /
+    pentium4, when the list lacks it) and eight cross-check runs. *)
 
 val check :
   ?cells:cell list ->
@@ -103,27 +100,24 @@ val check :
   unit ->
   verdict
 (** Compile [source] once (to reject front-end failures early), then run
-    each cell and compare to the first. Once the whole differential
-    matrix is clean, one extra pair is run at the headline configuration
-    (inter+intra / pipeline / pentium4), plain vs
-    [~telemetry:true ~profile:true], and compared bit-for-bit on output,
-    cycles and every core stats counter, with the attribution and
-    profiler conservation laws checked on the observed twin — the
-    observer-effect check. A second extra pair then re-runs the headline
-    configuration on the reference switch engine vs the closure-compiled
-    engine and demands bit-identity (output, cycles, every core and
-    VM-side counter, the reachable heap; crashes must match exactly and
-    are compared on the crash alone). Finally the headline configuration
-    is re-run under each hardware prefetch model (none / stream / RPT)
-    and the three runs must agree on program output and reachable heap —
-    the hardware co-simulation axis. Last, the headline configuration is
-    re-run under the [Static] and [Hybrid] prediction tiers, which must
-    reproduce the inspect-tier output and reachable heap with no
-    faulting prefetches — the prediction-crosscheck axis. Finally the
-    headline configuration is re-run with the live windowed monitor
-    armed (4096-cycle windows) and must be bit-identical to its plain
-    twin, with window books that sum back to the run totals — the
-    monitor-crosscheck axis. The three pairs and two triples count 12
-    toward [cells_run]. [faults] (default none) is injected into every
-    run and into the self-diff — the self-tests use it to prove each
-    check catches the fault aimed at it (see {!Vm.Fault}). *)
+    each cell and compare to the first; the headline configuration
+    (inter+intra / pipeline / pentium4) is appended to [cells] when
+    missing. Once the whole differential matrix is clean, four
+    cross-checks run at the headline configuration, in order:
+    - the observer law: one run with every observer on (attribution,
+      profiler, a 4096-cycle monitor) against the matrix's own plain
+      headline run, bit-identical, with every observer's books
+      balanced and the run record's self-diff empty
+      ([Observer_divergence], naming the law);
+    - the engine pair: the reference switch engine against the same
+      plain run, bit-identical including the VM-side books and the
+      reachable heap ([Engine_divergence]);
+    - the hardware triple: none / stream / RPT prefetch models agree on
+      output and reachable heap ([Hw_divergence]);
+    - the prediction triple: inspect / static / hybrid tiers agree on
+      output and reachable heap with no faulting prefetch
+      ([Prediction_divergence]).
+    [cells_run] is {!runs_per_program}. [faults] (default none) is
+    injected into every run and into the self-diff — the self-tests use
+    it to prove each check catches the fault aimed at it (see
+    {!Vm.Fault}). *)

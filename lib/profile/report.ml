@@ -400,57 +400,130 @@ let folded t =
   | [] -> ""
   | sorted -> String.concat "\n" sorted ^ "\n"
 
-let json_of_bins b =
-  Telemetry.Json.Obj
-    (List.map (fun (name, get) -> (name, Telemetry.Json.Int (get b))) bin_fields)
+module J = Telemetry.Json
 
-let to_json t =
-  let open Telemetry.Json in
+let json_of_bins b =
+  J.Obj (List.map (fun (name, get) -> (name, J.Int (get b))) bin_fields)
+
+let members t =
   let pc_json r =
-    Obj
+    J.Obj
       [
-        ("method", Str r.method_name);
-        ("pc", Int r.pc);
-        ("instr", Str r.instr);
-        ("loop", Int r.loop_id);
-        ("depth", Int r.loop_depth);
+        ("method", J.Str r.method_name);
+        ("pc", J.Int r.pc);
+        ("instr", J.Str r.instr);
+        ("loop", J.Int r.loop_id);
+        ("depth", J.Int r.loop_depth);
         ("bins", json_of_bins r.bins);
-        ("total", Int r.row_total);
+        ("total", J.Int r.row_total);
       ]
   in
   let loop_json r =
-    Obj
+    J.Obj
       [
-        ("method", Str r.l_method);
-        ("loop", Int r.l_loop);
-        ("depth", Int r.l_depth);
-        ("header_pc", Int r.l_header_pc);
-        ("actions", Int r.l_actions);
+        ("method", J.Str r.l_method);
+        ("loop", J.Int r.l_loop);
+        ("depth", J.Int r.l_depth);
+        ("header_pc", J.Int r.l_header_pc);
+        ("actions", J.Int r.l_actions);
         ("bins", json_of_bins r.l_bins);
-        ("total", Int r.l_total);
+        ("total", J.Int r.l_total);
       ]
   in
   let obj_json r =
-    Obj
+    J.Obj
       [
-        ("method", Str r.alloc_method);
-        ("pc", Int r.alloc_pc);
-        ("allocs", Int r.allocs);
-        ("bytes", Int r.alloc_bytes);
-        ("tlb", Int r.o_tlb);
-        ("l1", Int r.o_l1);
-        ("l2", Int r.o_l2);
-        ("mem", Int r.o_mem);
-        ("stall", Int r.o_total);
+        ("method", J.Str r.alloc_method);
+        ("pc", J.Int r.alloc_pc);
+        ("allocs", J.Int r.allocs);
+        ("bytes", J.Int r.alloc_bytes);
+        ("tlb", J.Int r.o_tlb);
+        ("l1", J.Int r.o_l1);
+        ("l2", J.Int r.o_l2);
+        ("mem", J.Int r.o_mem);
+        ("stall", J.Int r.o_total);
       ]
   in
-  Obj
-    [
-      ("schema", Str "spf_prof/v1");
-      ("cycles", Int t.cycles);
-      ("gc_cycles", Int t.gc_cycles);
-      ("totals", json_of_bins t.totals);
-      ("pcs", List (List.map pc_json t.pcs));
-      ("loops", List (List.map loop_json t.loops));
-      ("objects", List (List.map obj_json t.objects));
-    ]
+  [
+    ("cycles", J.Int t.cycles);
+    ("gc_cycles", J.Int t.gc_cycles);
+    ("totals", json_of_bins t.totals);
+    ("pcs", J.List (List.map pc_json t.pcs));
+    ("loops", J.List (List.map loop_json t.loops));
+    ("objects", J.List (List.map obj_json t.objects));
+  ]
+
+let to_json t = J.Obj (("schema", J.Str "spf_prof/v1") :: members t)
+
+(* The reader mirrors [members]. Lenient like the bench-report parser:
+   an absent number reads as 0 (-1 for the "unknown" sentinels), an
+   absent string as "?", so older writers' rows keep loading; only the
+   three members the conservation law needs are required. *)
+let of_json v =
+  let int ?(default = 0) name v =
+    match J.member name v with Some (J.Int n) -> n | _ -> default
+  in
+  let str name v =
+    match J.member name v with Some (J.Str s) -> s | _ -> "?"
+  in
+  let bins v =
+    match List.map (fun (name, _) -> int name v) bin_fields with
+    | [ b_retire; b_tlb; b_l1; b_l2; b_mem; b_pf; b_guard; b_alloc ] ->
+        { C.b_retire; b_tlb; b_l1; b_l2; b_mem; b_pf; b_guard; b_alloc }
+    | _ -> invalid_arg "Profile.Report.of_json: bin_fields"
+  in
+  let row_bins r = bins (Option.value (J.member "bins" r) ~default:(J.Obj []))
+  in
+  let rows name row =
+    match J.member name v with Some (J.List l) -> List.map row l | _ -> []
+  in
+  let pc_row r =
+    {
+      method_id = -1;
+      method_name = str "method" r;
+      pc = int "pc" r;
+      instr = str "instr" r;
+      loop_id = int ~default:(-1) "loop" r;
+      loop_depth = int "depth" r;
+      bins = row_bins r;
+      row_total = int "total" r;
+    }
+  in
+  let loop_row r =
+    {
+      l_method = str "method" r;
+      l_loop = int ~default:(-1) "loop" r;
+      l_depth = int "depth" r;
+      l_header_pc = int ~default:(-1) "header_pc" r;
+      l_bins = row_bins r;
+      l_total = int "total" r;
+      l_actions = int ~default:(-1) "actions" r;
+    }
+  in
+  let obj_row r =
+    {
+      alloc_method = str "method" r;
+      alloc_pc = int ~default:(-1) "pc" r;
+      allocs = int "allocs" r;
+      alloc_bytes = int "bytes" r;
+      o_tlb = int "tlb" r;
+      o_l1 = int "l1" r;
+      o_l2 = int "l2" r;
+      o_mem = int "mem" r;
+      o_total = int "stall" r;
+    }
+  in
+  match (J.member "cycles" v, J.member "totals" v, J.member "loops" v) with
+  | Some (J.Int cycles), Some (J.Obj _ as totals), Some (J.List _) ->
+      Ok
+        {
+          cycles;
+          gc_cycles = int "gc_cycles" v;
+          totals = bins totals;
+          pcs = rows "pcs" pc_row;
+          loops = rows "loops" loop_row;
+          objects = rows "objects" obj_row;
+        }
+  | Some (J.Int _), Some (J.Obj _), _ -> Error "missing or ill-typed \"loops\""
+  | Some (J.Int _), _, _ -> Error "missing or ill-typed \"totals\""
+  | _ -> Error "missing or ill-typed \"cycles\""

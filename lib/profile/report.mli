@@ -88,5 +88,20 @@ val folded : t -> string
     sorted, with frame-breaking characters replaced by [_]. Ends with a
     newline when non-empty. *)
 
+val members : t -> (string * Telemetry.Json.t) list
+(** The report's JSON members — [cycles], [gc_cycles], [totals], [pcs],
+    [loops], [objects] — without a schema tag. The one writer of the
+    row format: {!to_json} and the diff engine's run record
+    ([Diff.Rundata]) both embed it. *)
+
 val to_json : t -> Telemetry.Json.t
-(** Schema ["spf_prof/v1"]. *)
+(** Schema ["spf_prof/v1"]: the schema tag followed by {!members}. *)
+
+val of_json : Telemetry.Json.t -> (t, string) result
+(** Read {!members} back from any document that carries them, whatever
+    its schema. Lenient about row fields (absent numbers read as 0,
+    absent [loop]/[pc]/[header_pc]/[actions] as -1, absent strings as
+    ["?"]) and strict about the three members the conservation law
+    needs: [Error] names the first of [cycles], [totals] or [loops]
+    that is missing or ill-typed. Method ids are not part of the
+    format, so every pc row reads back with [method_id = -1]. *)

@@ -33,12 +33,13 @@ let table =
     ( Monitor_desync,
       "monitor-desync",
       "every monitor window boundary charges one extra cycle (caught by \
-       the monitor observer-effect check and the profiler's conservation \
-       law)" );
+       the fuzz oracle's observer law, as observe-only, and by the \
+       profiler's conservation law under run --profile --monitor)" );
     ( Diff_desync,
       "diff-desync",
-      "the blame join perturbs one loop's delta (caught by the blame \
-       conservation check)" );
+      "the blame join perturbs one loop's delta (caught by diff's blame \
+       conservation check and by the fuzz oracle's observer law, as \
+       self-diff)" );
   ]
 
 let all = List.map (fun (f, _, _) -> f) table

@@ -75,7 +75,8 @@ let test_roundtrip () =
     prof.Gate.cycles;
   Alcotest.(check bool) "cycles recorded" true (plain.Gate.cycles > 0);
   (* The profiled cell's blame payload is what a failing gate explains
-     regressions from: it must still ingest through lib/diff. *)
+     regressions from: a run record that must read back through
+     lib/diff, conserve the cell's cycles and carry the cell's axes. *)
   Alcotest.(check bool) "plain cell carries no blame" true
     (plain.Gate.blame = None);
   let payload =
@@ -83,28 +84,35 @@ let test_roundtrip () =
     | Some p -> p
     | None -> Alcotest.fail "profiled cell lost its blame payload"
   in
-  let config =
-    {
-      Diff.Rundata.c_workload = prof.id.workload;
-      c_machine = prof.id.machine;
-      c_mode = prof.id.mode;
-      c_engine = prof.id.engine;
-      c_hw = prof.id.hw;
-      c_prediction = "inspect";
-      c_threshold = None;
-      c_passes = true;
-      c_phased = false;
-      c_interproc = false;
-    }
-  in
-  let rd =
-    ok (Diff.Rundata.of_bench_blame ~config ~cycles:prof.Gate.cycles payload)
-  in
-  Alcotest.(check bool) "blame carries loops" true
-    (rd.Diff.Rundata.loops <> []);
+  let rd = ok (Diff.Rundata.of_json payload) in
+  let profile = rd.Diff.Rundata.profile in
+  Alcotest.(check bool) "blame carries loops" true (profile.loops <> []);
+  Alcotest.(check bool) "per-pc rows dropped" true (profile.pcs = []);
   Alcotest.(check int) "binned cycles reconstruct the cell's cycles"
     prof.Gate.cycles
-    (Array.fold_left ( + ) 0 rd.Diff.Rundata.totals)
+    (Profile.Collector.bins_total profile.totals + profile.gc_cycles);
+  Alcotest.(check string) "workload" prof.id.workload rd.Diff.Rundata.workload;
+  let config =
+    match rd.Diff.Rundata.config with
+    | Some c -> c
+    | None -> Alcotest.fail "payload carries no config"
+  in
+  let axis a = Diff.Bisect.axis_value config a in
+  Alcotest.(check (list string))
+    "config = the cell id's axes"
+    [
+      prof.id.machine;
+      prof.id.mode;
+      prof.id.engine;
+      prof.id.hw;
+      Option.value ~default:"inspect" prof.id.prediction;
+      Option.fold ~none:"default" ~some:string_of_int prof.id.sw_threshold;
+    ]
+    Diff.Bisect.
+      [
+        axis Machine; axis Mode; axis Engine; axis Hw; axis Prediction;
+        axis Threshold;
+      ]
 
 let test_same_run_passes () =
   let a = record () and b = record () in

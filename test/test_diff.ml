@@ -1,12 +1,13 @@
 (* The differential-diagnosis engine (lib/diff): the blame join's
    identity and conservation laws, the planted-regression attribution
-   contract, the snapshot round trips (spf_diff/v1, spf_prof/v1, the
-   bench report's compact blame payload), the injected desync self-test,
-   and the axis bisector's replay algebra on synthetic cycle
-   functions. *)
+   contract, the run record's file format (the spf_run/v1 round trip,
+   the older spf_prof/v1 and spf_diff/v1 files, the bench report's blame
+   payload, refusals), the injected desync self-test, and the axis
+   bisector's replay algebra on synthetic cycle functions. *)
 
 module J = Telemetry.Json
 module RD = Diff.Rundata
+module R = Profile.Report
 module B = Diff.Blame
 module Bi = Diff.Bisect
 module O = Strideprefetch.Options
@@ -20,27 +21,27 @@ let profiled_run ?(opts = O.default) ?(mode = O.Inter_intra) name =
   Workloads.Harness.run ~opts ~profile:true ~mode
     ~machine:Memsim.Config.pentium4 (find_workload name)
 
-let snapshot ?opts ?mode name =
-  let config =
-    Bi.config_strings ~workload:name
-      (match mode with
-      | Some O.Off -> { Bi.default_config with Bi.mode = O.Off }
-      | _ -> Bi.default_config)
-  in
-  match RD.of_run ~config (profiled_run ?opts ?mode name) with
+let record ?opts ?(mode = O.Inter_intra) name =
+  let config = { Bi.default_config with Bi.mode } in
+  match RD.of_run ~config (profiled_run ?opts ~mode name) with
   | Ok rd -> rd
-  | Error e -> Alcotest.failf "snapshot failed: %s" e
+  | Error e -> Alcotest.failf "record failed: %s" e
 
 let check_conservation label bl =
   match B.check bl with
   | None -> ()
   | Some msg -> Alcotest.failf "%s: conservation violated: %s" label msg
 
+let check_self_diff_empty label rd =
+  let bl = B.build ~a:rd ~b:rd () in
+  Alcotest.(check int) (label ^ ": self diff empty") 0 bl.B.total_delta;
+  check_conservation label bl
+
 (* ------------------------------------------------------------------ *)
 (* Identity law: a run diffed against itself blames nothing.           *)
 
 let test_self_diff_empty () =
-  let rd = snapshot "Euler" in
+  let rd = record "Euler" in
   let bl = B.build ~a:rd ~b:rd () in
   Alcotest.(check int) "total delta" 0 bl.B.total_delta;
   Alcotest.(check int) "gc delta" 0 bl.B.gc_delta;
@@ -54,12 +55,12 @@ let test_self_diff_empty () =
 (* A real two-sided diff (inter+intra vs off) holds the law and renders
    deterministically. *)
 let test_real_diff_deterministic () =
-  let a = snapshot ~mode:O.Off "Euler" and b = snapshot "Euler" in
+  let a = record ~mode:O.Off "Euler" and b = record "Euler" in
   let bl1 = B.build ~a ~b () and bl2 = B.build ~a ~b () in
   check_conservation "off vs inter+intra" bl1;
   Alcotest.(check int)
     "delta is the cycle difference"
-    (b.RD.cycles - a.RD.cycles)
+    (b.RD.profile.cycles - a.RD.profile.cycles)
     bl1.B.total_delta;
   Alcotest.(check string)
     "render is deterministic" (B.render bl1) (B.render bl2);
@@ -73,36 +74,44 @@ let test_real_diff_deterministic () =
    top-1, with the right dominant bin.                                 *)
 
 let test_planted_loop_blamed () =
-  let rd = snapshot "Euler" in
+  let rd = record "Euler" in
+  let p = rd.RD.profile in
   let mem_idx =
-    match List.mapi (fun i n -> (n, i)) RD.bin_names |> List.assoc_opt "mem" with
+    match
+      List.mapi (fun i (n, _) -> (n, i)) R.bin_fields |> List.assoc_opt "mem"
+    with
     | Some i -> i
     | None -> Alcotest.fail "no mem bin"
   in
   (* Perturb the hottest loop by +10% of its cycles, charged to mem. *)
   let victim =
     List.fold_left
-      (fun (best : RD.loop) (l : RD.loop) ->
-        if l.lr_total > best.lr_total then l else best)
-      (List.hd rd.RD.loops) rd.RD.loops
+      (fun (best : R.loop_row) (l : R.loop_row) ->
+        if l.l_total > best.l_total then l else best)
+      (List.hd p.loops) p.loops
   in
-  let d = (victim.lr_total / 10) + 1 in
-  let bump (l : RD.loop) =
-    if (l.lr_method, l.lr_loop) = (victim.lr_method, victim.lr_loop) then begin
-      let bins = Array.copy l.lr_bins in
-      bins.(mem_idx) <- bins.(mem_idx) + d;
-      { l with lr_bins = bins; lr_total = l.lr_total + d }
-    end
+  let d = (victim.l_total / 10) + 1 in
+  let plus_mem bins =
+    let b = Profile.Collector.zero_bins () in
+    Profile.Collector.add_bins ~into:b bins;
+    b.b_mem <- b.b_mem + d;
+    b
+  in
+  let bump (l : R.loop_row) =
+    if (l.l_method, l.l_loop) = (victim.l_method, victim.l_loop) then
+      { l with l_bins = plus_mem l.l_bins; l_total = l.l_total + d }
     else l
   in
-  let totals = Array.copy rd.RD.totals in
-  totals.(mem_idx) <- totals.(mem_idx) + d;
   let perturbed =
     {
       rd with
-      RD.cycles = rd.RD.cycles + d;
-      totals;
-      loops = List.map bump rd.RD.loops;
+      RD.profile =
+        {
+          p with
+          cycles = p.cycles + d;
+          totals = plus_mem p.totals;
+          loops = List.map bump p.loops;
+        };
     }
   in
   let bl = B.build ~a:rd ~b:perturbed () in
@@ -111,15 +120,15 @@ let test_planted_loop_blamed () =
   match B.top_loop bl with
   | None -> Alcotest.fail "no top loop"
   | Some top ->
-      Alcotest.(check string) "top-1 method" victim.lr_method top.B.d_method;
-      Alcotest.(check int) "top-1 loop" victim.lr_loop top.B.d_loop;
+      Alcotest.(check string) "top-1 method" victim.l_method top.B.d_method;
+      Alcotest.(check int) "top-1 loop" victim.l_loop top.B.d_loop;
       Alcotest.(check int) "top-1 delta" d top.B.d_delta;
       Alcotest.(check int) "charged to mem" d top.B.d_bins.(mem_idx)
 
 (* The desync injection must make the conservation check fail — the
    self-test that the check can catch a corrupted join. *)
 let test_fault_desync_caught () =
-  let rd = snapshot "Euler" in
+  let rd = record "Euler" in
   let faults = Vm.Fault.of_list [ Vm.Fault.Diff_desync ] in
   let bl = B.build ~faults ~a:rd ~b:rd () in
   match B.check bl with
@@ -127,71 +136,157 @@ let test_fault_desync_caught () =
   | None -> Alcotest.fail "injected desync not reported"
 
 (* ------------------------------------------------------------------ *)
-(* Round trips.                                                        *)
+(* The file format.                                                    *)
 
-let test_snapshot_round_trip () =
-  let rd = snapshot "Euler" in
-  match J.parse (J.to_string (RD.to_json rd)) with
-  | Error e -> Alcotest.failf "snapshot does not re-parse: %s" e
-  | Ok v -> (
-      match RD.of_json v with
-      | Error e -> Alcotest.failf "snapshot rejected: %s" e
-      | Ok rd' ->
-          Alcotest.(check bool) "snapshot round-trips exactly" true (rd = rd'))
+let reparse json =
+  match J.parse (J.to_string json) with
+  | Ok v -> RD.of_json v
+  | Error e -> Alcotest.failf "record does not re-parse: %s" e
+
+let ok_record = function
+  | Ok rd -> rd
+  | Error e -> Alcotest.failf "record rejected: %s" e
+
+(* Method ids are in-memory join keys, not part of the row format. *)
+let without_method_ids (rd : RD.t) =
+  {
+    rd with
+    RD.profile =
+      {
+        rd.profile with
+        pcs = List.map (fun (r : R.pc_row) -> { r with method_id = -1 })
+                rd.profile.pcs;
+      };
+  }
+
+let test_record_round_trip () =
+  let rd = record "Euler" in
+  Alcotest.(check bool) "carries attribution" true (rd.RD.attribution <> None);
+  Alcotest.(check bool) "carries provenance" true (rd.RD.provenance <> []);
+  let hybrid =
+    match
+      Bi.apply_overrides Bi.default_config
+        "prediction=hybrid,threshold=64,phased=on,machine=athlonmp,hw=none"
+    with
+    | Ok c -> c
+    | Error e -> Alcotest.fail e
+  in
+  List.iter
+    (fun (label, rd) ->
+      let rd' = ok_record (reparse (RD.to_json rd)) in
+      Alcotest.(check bool)
+        (label ^ ": round-trips exactly") true
+        (rd' = without_method_ids rd))
+    [
+      ("default config", rd);
+      ("overridden config", { rd with RD.config = Some hybrid });
+      ("no config", { rd with RD.config = None; attribution = None });
+    ]
 
 let test_prof_report_ingest () =
   let r = profiled_run "Euler" in
   let rep = Option.get r.Workloads.Harness.profile in
-  match RD.of_json (Profile.Report.to_json rep) with
-  | Error e -> Alcotest.failf "spf_prof/v1 rejected: %s" e
-  | Ok rd ->
-      Alcotest.(check int) "cycles carried over" rep.Profile.Report.cycles
-        rd.RD.cycles;
-      Alcotest.(check bool) "config unknown" true
-        (rd.RD.config = RD.unknown_config);
-      Alcotest.(check int) "all loops carried over"
-        (List.length rep.Profile.Report.loops)
-        (List.length rd.RD.loops);
-      (* A prof-report snapshot still self-diffs to nothing. *)
-      let bl = B.build ~a:rd ~b:rd () in
-      Alcotest.(check int) "self diff empty" 0 bl.B.total_delta;
-      check_conservation "prof ingest" bl
+  let rd = ok_record (RD.of_json (R.to_json rep)) in
+  Alcotest.(check int) "cycles carried over" rep.cycles rd.RD.profile.cycles;
+  Alcotest.(check bool) "config unknown" true (rd.RD.config = None);
+  Alcotest.(check int) "all loops carried over"
+    (List.length rep.loops)
+    (List.length rd.RD.profile.loops);
+  check_self_diff_empty "prof ingest" rd
 
+(* The spf_diff/v1 snapshots older versions wrote: no per-pc rows, and a
+   config whose booleans, integers and null spell on/off, N and default. *)
+let test_legacy_diff_ingest () =
+  let rd = record "Euler" in
+  let profile_members =
+    List.filter (fun (k, _) -> k <> "pcs") (R.members rd.RD.profile)
+  in
+  let legacy threshold =
+    J.Obj
+      ([
+         ("schema", J.Str "spf_diff/v1");
+         ( "config",
+           J.Obj
+             [
+               ("workload", J.Str "Euler");
+               ("machine", J.Str "pentium4");
+               ("mode", J.Str "INTER+INTRA");
+               ("engine", J.Str "closure");
+               ("hw", J.Str "stream:8");
+               ("prediction", J.Str "hybrid");
+               ("threshold", threshold);
+               ("passes", J.Bool true);
+               ("phased", J.Bool false);
+               ("interprocedural", J.Bool true);
+             ] );
+       ]
+      @ profile_members)
+  in
+  let expect threshold =
+    Some
+      {
+        Bi.default_config with
+        Bi.prediction = O.Hybrid;
+        threshold;
+        interproc = true;
+      }
+  in
+  List.iter
+    (fun (json, threshold) ->
+      let old = ok_record (RD.of_json json) in
+      Alcotest.(check string) "workload" "Euler" old.RD.workload;
+      Alcotest.(check bool) "typed config" true (old.RD.config = expect threshold);
+      Alcotest.(check int) "loops" (List.length rd.RD.profile.loops)
+        (List.length old.RD.profile.loops);
+      let bl = B.build ~a:old ~b:rd () in
+      Alcotest.(check int) "diff vs the live record is empty" 0
+        bl.B.total_delta;
+      check_conservation "legacy" bl)
+    [ (legacy (J.Int 64), Some 64); (legacy J.Null, None) ]
+
+(* The bench report's blame payload is the run record minus its per-pc
+   rows; blame needs none of them. *)
 let test_bench_blame_ingest () =
-  let rd = snapshot "Euler" in
-  let loop_json (l : RD.loop) =
-    J.Obj
-      [
-        ("method", J.Str l.lr_method);
-        ("loop", J.Int l.lr_loop);
-        ("depth", J.Int l.lr_depth);
-        ("actions", J.Int l.lr_actions);
-        ( "bins",
-          J.Obj (List.mapi (fun i n -> (n, J.Int l.lr_bins.(i))) RD.bin_names)
-        );
-        ("total", J.Int l.lr_total);
-      ]
-  in
+  let rd = record "Euler" in
   let payload =
-    J.Obj
-      [
-        ("gc_cycles", J.Int rd.RD.gc_cycles);
-        ("loops", J.List (List.map loop_json rd.RD.loops));
-      ]
+    { rd with RD.profile = { rd.RD.profile with pcs = [] } }
   in
-  (match
-     RD.of_bench_blame ~config:rd.RD.config ~cycles:rd.RD.cycles payload
-   with
-  | Error e -> Alcotest.failf "bench blame rejected: %s" e
-  | Ok rd' ->
-      Alcotest.(check bool) "totals reconstructed from loops" true
-        (rd.RD.totals = rd'.RD.totals);
-      let bl = B.build ~a:rd ~b:rd' () in
-      Alcotest.(check int) "diff vs the embedding is empty" 0 bl.B.total_delta;
-      check_conservation "bench blame" bl);
-  match RD.of_bench_blame ~config:rd.RD.config ~cycles:0 (J.Obj []) with
-  | Error _ -> ()
-  | Ok _ -> Alcotest.fail "payload without loops accepted"
+  let rd' = ok_record (reparse (RD.to_json payload)) in
+  Alcotest.(check bool) "payload round-trips" true (rd' = payload);
+  let bl = B.build ~a:rd ~b:rd' () in
+  Alcotest.(check int) "diff vs the full record is empty" 0 bl.B.total_delta;
+  Alcotest.(check bool) "same blame as a self diff" true
+    (B.render bl = B.render (B.build ~a:rd ~b:rd ()));
+  check_conservation "bench blame" bl
+
+let refused ~affix json =
+  match RD.of_json json with
+  | Ok _ -> Alcotest.failf "accepted %s" (J.to_string json)
+  | Error e ->
+      Alcotest.(check bool)
+        (Printf.sprintf "%S names %s" e affix)
+        true (Helpers.contains e affix)
+
+let test_unknown_schema_refused () =
+  refused ~affix:"spf_prof/v9" (J.Obj [ ("schema", J.Str "spf_prof/v9") ]);
+  refused ~affix:"schema" (J.Obj [ ("cycles", J.Int 1) ])
+
+(* A truncated file must not load as a 0-cycle run. *)
+let test_truncated_record_refused () =
+  let schema = ("schema", J.Str RD.schema) in
+  refused ~affix:"\"cycles\"" (J.Obj [ schema ]);
+  refused ~affix:"\"totals\"" (J.Obj [ schema; ("cycles", J.Int 10) ]);
+  refused ~affix:"\"loops\""
+    (J.Obj [ schema; ("cycles", J.Int 10); ("totals", J.Obj []) ]);
+  refused ~affix:"unknown axis"
+    (J.Obj
+       [
+         schema;
+         ("config", J.Obj [ ("colour", J.Str "blue") ]);
+         ("cycles", J.Int 0);
+         ("totals", J.Obj []);
+         ("loops", J.List []);
+       ])
 
 (* ------------------------------------------------------------------ *)
 (* The axis bisector, on synthetic replay functions (pure, no VM).     *)
@@ -283,9 +378,13 @@ let suite =
      test_planted_loop_blamed);
     ("blame: injected desync breaks conservation", `Slow,
      test_fault_desync_caught);
-    ("rundata: spf_diff/v1 round trip", `Slow, test_snapshot_round_trip);
+    ("rundata: spf_run/v1 round trip", `Slow, test_record_round_trip);
     ("rundata: spf_prof/v1 ingest", `Slow, test_prof_report_ingest);
+    ("rundata: spf_diff/v1 ingest", `Slow, test_legacy_diff_ingest);
     ("rundata: bench blame payload ingest", `Slow, test_bench_blame_ingest);
+    ("rundata: unknown schema refused", `Quick, test_unknown_schema_refused);
+    ("rundata: truncated record refused", `Quick,
+     test_truncated_record_refused);
     ("bisect: single differing axis", `Quick, test_bisect_single_axis);
     ("bisect: planted axis among neutral in 3 replays", `Quick,
      test_bisect_planted_among_neutral);

@@ -65,9 +65,33 @@ let test_oracle_accepts_clean_programs () =
       Alcotest.failf "unexpected finding at seed %d: %s" f.Fuzz.Driver.seed
         (Fuzz.Oracle.describe f.Fuzz.Driver.failure));
   Alcotest.(check int) "all programs ran" 8 campaign.Fuzz.Driver.programs_run;
-  (* 12 matrix cells + the telemetry/profile pair + the engine pair +
-     the hardware-model triple + the prediction-tier triple. *)
-  Alcotest.(check int) "full matrix" 22 campaign.Fuzz.Driver.cells_per_program
+  (* 12 matrix cells + the observed twin of the headline cell + its
+     switch-engine twin + the hardware-model triple + the prediction-tier
+     triple. *)
+  Alcotest.(check int) "full matrix" 20 campaign.Fuzz.Driver.cells_per_program
+
+(* Each observer fault fails the one observer law, under its own name:
+   a monitor that charges cycles breaks observe-only, a blame join that
+   drops a cycle breaks the self-diff. *)
+let test_observer_faults_name_their_law () =
+  List.iter
+    (fun (fault, law) ->
+      let _, verdict =
+        Fuzz.Driver.check_seed ~faults:(Vm.Fault.of_list [ fault ]) ~seed:2026
+          ~max_size:6 ()
+      in
+      match verdict with
+      | Fuzz.Oracle.Fail (Fuzz.Oracle.Observer_divergence { law = got; _ }) ->
+          Alcotest.(check string) (Vm.Fault.name fault ^ " law") law got
+      | Fuzz.Oracle.Fail f ->
+          Alcotest.failf "%s: wrong failure class: %s" (Vm.Fault.name fault)
+            (Fuzz.Oracle.describe f)
+      | Fuzz.Oracle.Pass _ ->
+          Alcotest.failf "%s went undetected" (Vm.Fault.name fault))
+    [
+      (Vm.Fault.Monitor_desync, "observe-only");
+      (Vm.Fault.Diff_desync, "self-diff");
+    ]
 
 let unguarded = Vm.Fault.of_list [ Vm.Fault.Unguarded_spec_loads ]
 
@@ -187,6 +211,8 @@ let suite =
     ("pretty: parse round-trip", `Quick, test_pretty_round_trip);
     ("oracle: clean programs pass the matrix", `Quick,
      test_oracle_accepts_clean_programs);
+    ("oracle: observer faults name their law", `Quick,
+     test_observer_faults_name_their_law);
     ("oracle: injection seed clean without fault", `Quick,
      test_injection_seed_is_clean_without_fault);
     ("oracle: injected fault caught and shrunk", `Slow,
